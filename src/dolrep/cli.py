@@ -11,7 +11,8 @@ whitespace; multi-character symbols are fine):
 
 Every declared letter needs exactly one rule; an empty right-hand side
 denotes the empty word.  Exit codes: 0 success, 1 parse error, 2 internal
-invariant failure, 3 oracle disagreement under --verify.
+invariant failure or command-line usage error, 3 oracle disagreement under
+--verify, 4 oracle iterate over its length budget under --verify.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from collections.abc import Sequence
 
 from .engine import AnalysisReport, EngineInvariantError, analyze
 from .morphism import Alphabet, D0LSystem, Morphism
-from .oracle import OracleParams, observed_classes
+from .oracle import OracleParams, OracleResourceError, observed_classes
 from .simplify import SimplificationError
 from .words import Word
 
@@ -195,6 +196,10 @@ def run(argv: Sequence[str]) -> int:
     cmd.add_argument("--max-len", type=int, default=8, help="oracle factor length bound (default 8)")
     cmd.add_argument("--power", type=int, default=4, help="oracle power threshold (default 4)")
     args = parser.parse_args(argv)
+    try:
+        params = OracleParams(depth=args.depth, max_len=args.max_len, power_threshold=args.power)
+    except ValueError as exc:
+        cmd.error(str(exc))
 
     try:
         system = parse_system(_read_input(args.file))
@@ -217,8 +222,11 @@ def run(argv: Sequence[str]) -> int:
         print(format_report(report), end="")
 
     if args.verify:
-        params = OracleParams(depth=args.depth, max_len=args.max_len, power_threshold=args.power)
-        observed = observed_classes(system, params)
+        try:
+            observed = observed_classes(system, params)
+        except OracleResourceError as exc:
+            print(f"error: oracle: {exc}", file=sys.stderr)
+            return 4
         engine_reps = {cls.representative for cls in report.classes}
         stream = sys.stderr if args.json else sys.stdout
         if observed == engine_reps:
@@ -235,3 +243,7 @@ def run(argv: Sequence[str]) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

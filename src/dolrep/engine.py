@@ -14,13 +14,8 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
-from .morphism import (
-    D0LSystem,
-    LetterClassification,
-    classify_letters,
-    translate_word,
-)
-from .pushy import bounded_periodic_classes, is_pushy
+from .morphism import D0LSystem, LetterClassification, translate_word
+from .pushy import bounded_periodic_classes
 from .simplify import SimplificationChain, injective_simplification
 from .unbounded import unbounded_periodic_classes
 from .words import Word, canonical_rotation, conjugates, primitive_root
@@ -40,8 +35,11 @@ class PeriodicFactorClass:
     """Conjugacy class (v-rotations) of one infinite periodic factor v^omega."""
 
     representative: Word  # canonical rotation of the primitive root
-    conjugates: frozenset[Word]
     source: FactorSource
+
+    @property
+    def conjugates(self) -> frozenset[Word]:
+        return frozenset(conjugates(self.representative))
 
 
 @dataclass(frozen=True)
@@ -50,42 +48,33 @@ class AnalysisReport:
     chain: SimplificationChain
     classification: LetterClassification  # of the original system's morphism
     pushy: bool
-    repetitive: bool
-    strongly_repetitive: bool
     classes: tuple[PeriodicFactorClass, ...]
 
+    @property
+    def repetitive(self) -> bool:
+        return bool(self.classes)
 
-def _final_period_words(final: D0LSystem) -> list[Word]:
-    """Primitive period words of the final (injective, reduced) system."""
-    words = [emission.period for emission in bounded_periodic_classes(final)]
-    words.extend(unbounded_periodic_classes(final))
-    return words
+    @property
+    def strongly_repetitive(self) -> bool:
+        """Same as repetitive for D0L-systems (Ehrenfeucht & Rozenberg 1983)."""
+        return self.repetitive
 
 
 def analyze(system: D0LSystem) -> AnalysisReport:
     """Full analysis of a D0L-system; deterministic for equal inputs."""
-    raw_classification = classify_letters(system.morphism)
+    raw_classification = system.morphism.classification
     reduced = system.reduced()
-    if not classify_letters(reduced.morphism).unbounded:
+    if not reduced.morphism.classification.unbounded:
         # Finite language: nothing repeats unboundedly and A0-factors are finite.
         chain = SimplificationChain(steps=(), systems=(reduced,))
-        return AnalysisReport(
-            original=system,
-            chain=chain,
-            classification=raw_classification,
-            pushy=False,
-            repetitive=False,
-            strongly_repetitive=False,
-            classes=(),
-        )
+        return AnalysisReport(system, chain, raw_classification, pushy=False, classes=())
 
     chain = injective_simplification(reduced)
-    final = chain.final_system.reduced()
-    if final is not chain.final_system:
-        chain = SimplificationChain(chain.steps, chain.systems[:-1] + (final,))
-
+    final = chain.final_system
+    # is_pushy(final) by definition: some side-graph cycle pumps a bounded period.
+    bounded_words = [emission.period for emission in bounded_periodic_classes(final)]
     classes: dict[Word, PeriodicFactorClass] = {}
-    for word in _final_period_words(final):
+    for word in bounded_words + unbounded_periodic_classes(final):
         back = translate_word(chain.map_back(word), reduced.alphabet, system.alphabet)
         representative = canonical_rotation(primitive_root(back))
         if representative in classes:
@@ -93,20 +82,12 @@ def analyze(system: D0LSystem) -> AnalysisReport:
         bounded = all(a in raw_classification.bounded for a in representative)
         classes[representative] = PeriodicFactorClass(
             representative=representative,
-            conjugates=frozenset(conjugates(representative)),
             source=FactorSource.BOUNDED if bounded else FactorSource.UNBOUNDED,
         )
 
     ordered = tuple(classes[r] for r in sorted(classes))
-    repetitive = bool(ordered)
     return AnalysisReport(
-        original=system,
-        chain=chain,
-        classification=raw_classification,
-        pushy=is_pushy(final),
-        repetitive=repetitive,
-        strongly_repetitive=repetitive,
-        classes=ordered,
+        system, chain, raw_classification, pushy=bool(bounded_words), classes=ordered
     )
 
 
@@ -131,9 +112,11 @@ def periodic_factor_graph(report: AnalysisReport) -> PeriodicFactorGraph:
     indegree are asserted to be exactly one.
     """
     final = report.chain.final_system
-    if not classify_letters(final.morphism).unbounded:
+    if not final.morphism.classification.unbounded:
         return PeriodicFactorGraph((), {})
-    vertex_set = {canonical_rotation(primitive_root(w)) for w in _final_period_words(final)}
+    words = [emission.period for emission in bounded_periodic_classes(final)]
+    words.extend(unbounded_periodic_classes(final))
+    vertex_set = {canonical_rotation(primitive_root(w)) for w in words}
     vertices = tuple(sorted(vertex_set))
     edges: dict[Word, Word] = {}
     for v in vertices:

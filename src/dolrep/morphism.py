@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .words import Word
 
@@ -132,6 +133,11 @@ class Morphism:
 
     def is_erasing(self) -> bool:
         return any(not img for img in self.images)
+
+    @cached_property
+    def classification(self) -> "LetterClassification":
+        """``classify_letters(self)``, computed once per morphism object."""
+        return classify_letters(self)
 
     def __repr__(self) -> str:
         rules = ", ".join(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .morphism import D0LSystem, LetterClassification, classify_letters
+from .morphism import D0LSystem, LetterClassification
 from .words import Word, primitive_root
 
 
@@ -55,13 +55,7 @@ class BoundedPeriodicFactor(NamedTuple):
     period: Word
 
 
-def _classification(system: D0LSystem, classification: LetterClassification | None) -> LetterClassification:
-    return classification if classification is not None else classify_letters(system.morphism)
-
-
-def build_side_graph(
-    system: D0LSystem, side: Side, classification: LetterClassification | None = None
-) -> SideGraph:
+def build_side_graph(system: D0LSystem, side: Side) -> SideGraph:
     """Graph of unbounded letters to the given side.
 
     Right side: phi(a) = v b u with b the last unbounded letter and u the
@@ -70,7 +64,7 @@ def build_side_graph(
     phi = system.morphism
     if phi.is_erasing():
         raise ValueError("side graphs require a non-erasing morphism (simplify first)")
-    cls = _classification(system, classification)
+    cls = phi.classification
     edges: dict[int, tuple[int, Word]] = {}
     for a in sorted(cls.unbounded):
         img = phi.image(a)
@@ -120,14 +114,7 @@ def _has_immortal_label(cycle: SideCycle, cls: LetterClassification) -> bool:
 
 def is_pushy(system: D0LSystem) -> bool:
     """True iff some side-graph cycle has an edge with an immortal label."""
-    cls = classify_letters(system.morphism)
-    if not cls.unbounded:
-        return False
-    for side in (Side.LEFT, Side.RIGHT):
-        graph = build_side_graph(system, side, cls)
-        if any(_has_immortal_label(c, cls) for c in cycles(graph)):
-            return True
-    return False
+    return bool(bounded_periodic_classes(system))
 
 
 def _orbit_tail_period(system: D0LSystem, w: Word) -> tuple[int, int]:
@@ -194,9 +181,7 @@ def _rotations(cycle: SideCycle) -> list[SideCycle]:
     ]
 
 
-def bounded_periodic_classes(
-    system: D0LSystem, classification: LetterClassification | None = None
-) -> list[BoundedPeriodicFactor]:
+def bounded_periodic_classes(system: D0LSystem) -> list[BoundedPeriodicFactor]:
     """Primitive periods of all infinite periodic factors over bounded letters.
 
     Cycles whose labels are all mortal (for non-erasing systems: empty) pump
@@ -205,15 +190,12 @@ def bounded_periodic_classes(
     resulting periods are morphism images of one another, not conjugates, so
     every phase contributes a class of its own.
     """
-    phi = system.morphism
-    if phi.is_erasing():
-        raise ValueError("bounded periodic factors require a non-erasing morphism")
-    cls = _classification(system, classification)
+    cls = system.morphism.classification
     if not cls.unbounded:
         return []
     out: list[BoundedPeriodicFactor] = []
     for side in (Side.LEFT, Side.RIGHT):
-        graph = build_side_graph(system, side, cls)
+        graph = build_side_graph(system, side)
         for cycle in cycles(graph):
             if _has_immortal_label(cycle, cls):
                 for phase in _rotations(cycle):

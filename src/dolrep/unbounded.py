@@ -10,11 +10,12 @@ proper-power root of its own image).
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from itertools import cycle
 
-from .morphism import D0LSystem, Morphism, classify_letters
-from .words import Word, exact_power_of, primitive_root
+from .morphism import D0LSystem, Morphism
+from .words import Word, primitive_root
 
 
 @dataclass(frozen=True)
@@ -34,7 +35,7 @@ def first_letter_candidates(system: D0LSystem) -> list[FirstLetterCycleCandidate
     phi = system.morphism
     if phi.is_erasing():
         raise ValueError("first-letter graph requires a non-erasing morphism")
-    cls = classify_letters(phi)
+    cls = phi.classification
     out: list[FirstLetterCycleCandidate] = []
     for a in sorted(cls.unbounded):
         b = a
@@ -58,20 +59,30 @@ def _advance_counts(phi: Morphism, counts: list[int], steps: int) -> list[int]:
     return counts
 
 
-def _expand(phi: Morphism, a: int, depth: int) -> Iterator[int]:
-    """Letters of phi^depth(a), left to right, produced lazily."""
-    if depth == 0:
-        yield a
-        return
-    for b in phi.image(a):
-        yield from _expand(phi, b, depth - 1)
+def _expand(phi: Morphism, word: Sequence[int], depth: int) -> Iterator[int]:
+    """Letters of phi^depth(word), left to right, produced lazily.
+
+    stack[i] walks a word that still needs depth - i applications of phi, so
+    memory stays at depth + 1 iterators whatever the length of the result.
+    """
+    images = phi.images
+    stack = [iter(word)]
+    while stack:
+        for a in stack[-1]:
+            if len(stack) > depth:
+                yield a
+            else:
+                stack.append(iter(images[a]))
+                break
+        else:
+            stack.pop()
 
 
 def _prefix_before_second(phi: Morphism, letter: int, depth: int) -> Word:
     """Prefix of phi^depth(letter) in which `letter` occurs only as the first letter."""
     prefix: list[int] = []
     occurrences = 0
-    for c in _expand(phi, letter, depth):
+    for c in _expand(phi, (letter,), depth):
         if c == letter:
             occurrences += 1
             if occurrences == 2:
@@ -86,7 +97,8 @@ def lando_periodic_check(phi: Morphism, exponent: int, letter: int) -> Word | No
     Writing psi = phi^exponent: find the least s <= #A such that psi^s(letter)
     repeats some unbounded letter; require the candidate letter itself to
     repeat there; let v be the prefix up to (excluding) its second occurrence
-    and accept iff psi(v) = v^m with m >= 2.
+    and accept iff psi(v) = v^m with m >= 2.  psi(v) is compared letter by
+    letter with v^omega as it is generated, and never stored.
     """
     if not phi.is_endomorphism():
         raise ValueError("pure-periodicity check applies to endomorphisms")
@@ -100,26 +112,28 @@ def lando_periodic_check(phi: Morphism, exponent: int, letter: int) -> Word | No
     if b != letter:
         raise ValueError("first(phi^exponent(letter)) must equal the letter itself")
 
-    cls = classify_letters(phi)
+    cls = phi.classification
     if letter not in cls.unbounded:
         raise ValueError("the candidate letter must be unbounded")
     n = len(phi.source)
     counts = [0] * n
     counts[letter] = 1
-    found_s = None
     for s in range(1, n + 1):
         counts = _advance_counts(phi, counts, exponent)
         if any(counts[c] >= 2 for c in cls.unbounded):
-            found_s = s
             break
-    if found_s is None:
+    else:
         return None
     if counts[letter] < 2:
         return None
 
-    v = _prefix_before_second(phi, letter, exponent * found_s)
-    m = exact_power_of(phi.iterate(v, exponent), v)
-    if m is None:
+    v = _prefix_before_second(phi, letter, exponent * s)
+    length = 0
+    for length, (c, d) in enumerate(zip(_expand(phi, v, exponent), cycle(v)), start=1):
+        if c != d:
+            return None
+    m, rest = divmod(length, len(v))
+    if rest:
         return None
     if m < 2:
         # v starts with an unbounded letter, so psi(v) = v is impossible.

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import dolrep
 from dolrep import analyze
 from dolrep.cli import ParseError, parse_system, report_to_dict, run, serialize_system
 
@@ -19,6 +23,13 @@ alphabet: 0 1
 axiom: 0
 0 -> 0 1
 1 -> 1 0
+"""
+
+# phi^12(axiom) has 2 * 3^12 letters, over the oracle's default 10^6 budget
+TRIPLING_FILE = """\
+alphabet: a
+axiom: a a
+a -> a a a
 """
 
 
@@ -192,3 +203,35 @@ def test_run_verify_disagreement_exit_code(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 3
     assert "oracle: disagreement" in out
+
+
+def test_run_verify_oracle_budget_exit_code(tmp_path, capsys):
+    rc = run(["analyze", _write(tmp_path, "tripling.dol", TRIPLING_FILE), "--verify"])
+    captured = capsys.readouterr()
+    assert rc == 4
+    assert "representative a;" in captured.out
+    assert captured.err.startswith("error: oracle: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag, value", [("--depth", "0"), ("--max-len", "0"), ("--power", "1")])
+def test_run_oracle_flag_below_minimum_is_usage_error(tmp_path, capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        run(["analyze", _write(tmp_path, "g.dol", G_FILE), "--verify", flag, value])
+    assert exc.value.code == 2
+    assert "usage: dolrep analyze" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("module", ["dolrep", "dolrep.cli"])
+def test_python_dash_m_runs_cli(tmp_path, module):
+    src = os.path.dirname(os.path.dirname(dolrep.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "analyze", _write(tmp_path, "g.dol", G_FILE)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "representative 1122" in proc.stdout

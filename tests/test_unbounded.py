@@ -1,7 +1,13 @@
+from random import Random
+
 import pytest
 
 from dolrep import (
+    Alphabet,
+    D0LSystem,
     FirstLetterCycleCandidate,
+    Morphism,
+    analyze,
     first_letter_candidates,
     lando_periodic_check,
     make_system,
@@ -97,3 +103,33 @@ def test_unbounded_classes_contain_unbounded_letter():
     assert classes
     for v in classes:
         assert any(a in cls.unbounded for a in v)
+
+
+def _system(images, axiom):
+    alphabet = Alphabet(tuple(f"a{i}" for i in range(len(images))))
+    return D0LSystem(Morphism(alphabet, alphabet, images), axiom)
+
+
+def test_lando_deep_exponent_without_recursion():
+    # a_i -> a_{i+1}, a_{L-1} -> a_0 a_0: psi = phi^L sends a_0 to a_0 a_0, and
+    # expanding psi letter by letter nests L images deep
+    size = 1200
+    images = tuple((i + 1,) for i in range(size - 1)) + ((0, 0),)
+    assert lando_periodic_check(_system(images, (0,)).morphism, size, 0) == (0,)
+
+
+def test_lando_rejection_builds_no_long_word(monkeypatch):
+    # |A| = 64, seed 12: psi(v) in the Lando check has 43.3M letters
+    rng = Random(12)
+    images = tuple(tuple(rng.randrange(64) for _ in range(rng.randint(1, 3))) for _ in range(64))
+    system = _system(images, tuple(range(64)))
+    apply = Morphism.apply
+
+    def short_apply(phi, word):
+        out = apply(phi, word)
+        assert len(out) <= 10**5, "a long iterate was materialised"
+        return out
+
+    monkeypatch.setattr(Morphism, "apply", short_apply)
+    monkeypatch.setattr(Morphism, "__call__", short_apply)
+    assert analyze(system).classes == ()
