@@ -3,14 +3,15 @@
 A morphism maps every letter of its source alphabet to a word over its
 target alphabet (images may be empty).  A D0L-system couples an endomorphism
 with a non-empty axiom word; its language is the set of iterates of the
-axiom.  This module also classifies letters (mortal / bounded / unbounded)
-and decides injectivity via the Sardinas-Patterson code test.
+axiom.  This module also classifies letters (mortal / bounded / unbounded),
+finds the cycles of functional graphs on letters, and decides injectivity
+via the Sardinas-Patterson code test.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -228,18 +229,29 @@ class LetterClassification:
 
 
 def mortal_letters(phi: Morphism) -> frozenset[int]:
-    """Least fixed point: a is mortal iff every letter of phi(a) is mortal."""
+    """Least fixed point: a is mortal iff every letter of phi(a) is mortal.
+
+    Worklist over reverse edges: pending[a] counts the letters of phi(a),
+    with multiplicity, not yet known to be mortal, and a letter is mortal
+    once its count reaches zero.  O(|A| + sum |phi(a)|).
+    """
     if not phi.is_endomorphism():
         raise ValueError("mortality is defined for endomorphisms only")
-    mortal = {a for a in range(len(phi.source)) if not phi.image(a)}
-    changed = True
-    while changed:
-        changed = False
-        for a in range(len(phi.source)):
-            if a not in mortal and all(b in mortal for b in phi.image(a)):
-                mortal.add(a)
-                changed = True
-    return frozenset(mortal)
+    images = phi.images
+    pending = [len(img) for img in images]
+    work = [a for a, p in enumerate(pending) if not p]
+    if not work:
+        return frozenset()
+    users: list[list[int]] = [[] for _ in images]
+    for a, img in enumerate(images):
+        for b in img:
+            users[b].append(a)
+    while work:
+        for a in users[work.pop()]:
+            pending[a] -= 1
+            if not pending[a]:
+                work.append(a)
+    return frozenset(a for a, p in enumerate(pending) if not p)
 
 
 def classify_letters(phi: Morphism) -> LetterClassification:
@@ -249,34 +261,95 @@ def classify_letters(phi: Morphism) -> LetterClassification:
     an immortal letter is unbounded iff it reaches a letter on a cycle from
     which some letter with >= 2 immortal letters in its image (counted with
     multiplicity) is reachable.  Mortal letters are always bounded.
+
+    One iterative Tarjan pass over that digraph, with plain lists indexed by
+    letter, closes the strongly connected components sinks first.  A
+    component is unbounded when it points to an unbounded component, or
+    holds a cycle (an edge inside it) and a branching letter.  Reaching a
+    branching letter needs no flag of its own: in a component with a cycle
+    and no branching letter every letter has exactly one immortal successor,
+    inside the component, so no edge leaves it.  O(|A| + sum |phi(a)|).
     """
     if not phi.is_endomorphism():
         raise ValueError("letter classification is defined for endomorphisms only")
     mortal = mortal_letters(phi)
-    letters = range(len(phi.source))
-    immortal = [a for a in letters if a not in mortal]
-    succ = {a: {b for b in phi.image(a) if b not in mortal} for a in immortal}
-    branching = {a for a in immortal if sum(1 for b in phi.image(a) if b not in mortal) >= 2}
-
-    reach: dict[int, set[int]] = {}
-    for a in immortal:
-        seen = {a}
-        stack = [a]
-        while stack:
-            for b in succ[stack.pop()]:
-                if b not in seen:
-                    seen.add(b)
+    n = len(phi.images)
+    succ = [[b for b in img if b not in mortal] for img in phi.images]
+    index = [-1] * n
+    low = [0] * n
+    comp = [-1] * n  # component of a closed letter; -1 while unvisited or on the stack
+    unbounded_comp: list[bool] = []  # per component, in closing order
+    stack: list[int] = []
+    count = 0
+    for root in range(n):
+        if index[root] >= 0 or root in mortal:
+            continue
+        index[root] = low[root] = count
+        count += 1
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            a, edges = work[-1]
+            for b in edges:
+                if index[b] < 0:
+                    index[b] = low[b] = count
+                    count += 1
                     stack.append(b)
-        reach[a] = seen
-    on_cycle = {a for a in immortal if any(a in reach[b] for b in succ[a])}
+                    work.append((b, iter(succ[b])))
+                    break
+                if comp[b] < 0 and index[b] < low[a]:
+                    low[a] = index[b]
+            else:
+                work.pop()
+                if work and low[a] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[a]
+                if low[a] == index[a]:
+                    c = len(unbounded_comp)
+                    members = []
+                    b = -1
+                    while b != a:
+                        b = stack.pop()
+                        comp[b] = c
+                        members.append(b)
+                    cyclic = branching = grows = False
+                    for b in members:
+                        if len(succ[b]) >= 2:
+                            branching = True
+                        for d in succ[b]:
+                            if comp[d] == c:
+                                cyclic = True
+                            elif unbounded_comp[comp[d]]:
+                                grows = True
+                    unbounded_comp.append(grows or (cyclic and branching))
+    unbounded = frozenset(a for a in range(n) if comp[a] >= 0 and unbounded_comp[comp[a]])
+    bounded = frozenset(a for a in range(n) if a not in unbounded)
+    return LetterClassification(mortal=mortal, bounded=bounded, unbounded=unbounded)
 
-    unbounded = {
-        a
-        for a in immortal
-        if any(c in on_cycle and not branching.isdisjoint(reach[c]) for c in reach[a])
-    }
-    bounded = frozenset(set(letters) - unbounded)
-    return LetterClassification(mortal=mortal, bounded=bounded, unbounded=frozenset(unbounded))
+
+def functional_cycles(vertices: Iterable[int], target: Callable[[int], int]) -> list[tuple[int, ...]]:
+    """Cycles of the functional graph v -> target(v) on the given vertices.
+
+    Each cycle starts at its least vertex and follows target; the list is
+    ordered by that vertex.  One coloured walk: a vertex is "on the current
+    path" until the walk through it ends, then "done", so every vertex is
+    entered once.  O(#vertices).
+    """
+    done: dict[int, bool] = {}  # False while on the current path
+    out: list[tuple[int, ...]] = []
+    for v in vertices:
+        path = []
+        while v not in done:
+            done[v] = False
+            path.append(v)
+            v = target(v)
+        if not done[v]:
+            cycle = path[path.index(v) :]
+            i = cycle.index(min(cycle))
+            out.append(tuple(cycle[i:] + cycle[:i]))
+        for u in path:
+            done[u] = True
+    out.sort()
+    return out
 
 
 def code_witness(codewords: Sequence[Word]) -> tuple[tuple[int, ...], tuple[int, ...]] | None:

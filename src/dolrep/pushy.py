@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .morphism import D0LSystem, LetterClassification
+from .morphism import D0LSystem, LetterClassification, functional_cycles
 from .words import Word, primitive_root
 
 
@@ -82,30 +82,10 @@ def build_side_graph(system: D0LSystem, side: Side) -> SideGraph:
 
 def cycles(graph: SideGraph) -> list[SideCycle]:
     """All cycles of the functional graph, entry vertex = lowest id on the cycle."""
-    on_cycle = set()
-    for v in graph.vertices:
-        u = graph.target(v)
-        for _ in range(len(graph.vertices)):
-            if u == v:
-                break
-            u = graph.target(u)
-        if u == v:
-            on_cycle.add(v)
-    out: list[SideCycle] = []
-    used: set[int] = set()
-    for v in sorted(on_cycle):
-        if v in used:
-            continue
-        vertices = [v]
-        labels = [graph.label(v)]
-        cur = graph.target(v)
-        while cur != v:
-            vertices.append(cur)
-            labels.append(graph.label(cur))
-            cur = graph.target(cur)
-        used.update(vertices)
-        out.append(SideCycle(graph.side, tuple(vertices), tuple(labels)))
-    return out
+    return [
+        SideCycle(graph.side, vertices, tuple(graph.label(v) for v in vertices))
+        for vertices in functional_cycles(graph.vertices, graph.target)
+    ]
 
 
 def _has_immortal_label(cycle: SideCycle, cls: LetterClassification) -> bool:

@@ -14,7 +14,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import cycle
 
-from .morphism import D0LSystem, Morphism
+from .morphism import D0LSystem, Morphism, functional_cycles
 from .words import Word, primitive_root
 
 
@@ -30,31 +30,42 @@ def first_letter_candidates(system: D0LSystem) -> list[FirstLetterCycleCandidate
     """All unbounded letters lying on a cycle of the graph a -> first(phi(a)).
 
     Every letter of each cycle is kept (the engine deduplicates equivalent
-    results); the cycle length never exceeds the alphabet size.
+    results), with the cycle's length as its exponent; that length never
+    exceeds the alphabet size.  A cycle through an unbounded letter has only
+    unbounded letters, since each of them reaches it.  O(|A|).
     """
     phi = system.morphism
     if phi.is_erasing():
         raise ValueError("first-letter graph requires a non-erasing morphism")
-    cls = phi.classification
-    out: list[FirstLetterCycleCandidate] = []
-    for a in sorted(cls.unbounded):
-        b = a
-        for l in range(1, len(phi.source) + 1):
-            b = phi.first_letter(b)
-            if b == a:
-                out.append(FirstLetterCycleCandidate(a, l))
-                break
+    unbounded = phi.classification.unbounded
+    firsts = [img[0] for img in phi.images]
+    out = [
+        FirstLetterCycleCandidate(a, len(cycle))
+        for cycle in functional_cycles(range(len(firsts)), firsts.__getitem__)
+        if cycle[0] in unbounded
+        for a in cycle
+    ]
+    out.sort(key=lambda cand: cand.letter)
     return out
 
 
-def _advance_counts(phi: Morphism, counts: list[int], steps: int) -> list[int]:
-    """Letter-occurrence vector of phi^steps applied to a word with the given counts."""
+def _advance_counts(phi: Morphism, counts: dict[int, int], steps: int) -> dict[int, int]:
+    """Letter counts of phi^steps applied to a word with the given counts.
+
+    A count map holds only the letters that occur, each as
+    min(occurrences, 2).  The Lando check only asks whether a count is at
+    least 2 and every term is non-negative, so the cap is exact; it also
+    keeps the integers small on fast-growing systems.  With every count 1 or
+    2, a letter met a second time in a step gets 2 and one met first takes
+    the count of the letter whose image holds it.  One step costs the total
+    image length of the letters present, not O(|A|).
+    """
+    images = phi.images
     for _ in range(steps):
-        nxt = [0] * len(counts)
-        for a, c in enumerate(counts):
-            if c:
-                for b in phi.image(a):
-                    nxt[b] += c
+        nxt: dict[int, int] = {}
+        for a, c in counts.items():
+            for b in images[a]:
+                nxt[b] = 2 if b in nxt else c
         counts = nxt
     return counts
 
@@ -115,16 +126,14 @@ def lando_periodic_check(phi: Morphism, exponent: int, letter: int) -> Word | No
     cls = phi.classification
     if letter not in cls.unbounded:
         raise ValueError("the candidate letter must be unbounded")
-    n = len(phi.source)
-    counts = [0] * n
-    counts[letter] = 1
-    for s in range(1, n + 1):
+    counts = {letter: 1}
+    for s in range(1, len(phi.source) + 1):
         counts = _advance_counts(phi, counts, exponent)
-        if any(counts[c] >= 2 for c in cls.unbounded):
+        if any(k >= 2 and c in cls.unbounded for c, k in counts.items()):
             break
     else:
         return None
-    if counts[letter] < 2:
+    if counts.get(letter, 0) < 2:
         return None
 
     v = _prefix_before_second(phi, letter, exponent * s)

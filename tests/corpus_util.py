@@ -1,19 +1,30 @@
 """Shared helpers for randomized tests: system generation and test oracles."""
 
 import random
+import string
 from itertools import product
 
 from dolrep import D0LSystem, Morphism, OracleParams
 
 
-def random_system(rng: random.Random, max_letters: int = 4, max_image: int = 3) -> D0LSystem:
-    """Random small system; erasing images and shared images occur naturally."""
+def random_system(
+    rng: random.Random,
+    max_letters: int = 4,
+    max_image: int = 3,
+    min_letters: int = 1,
+    min_image: int = 0,
+) -> D0LSystem:
+    """Random system over letters a, b, c, ...; erasing and shared images occur naturally.
+
+    With the defaults this is the acceptance corpus's generator: at most 4
+    letters, images of length 0-3.
+    """
     from dolrep import Alphabet
 
-    n = rng.randint(1, max_letters)
-    alphabet = Alphabet("abcd"[:n])
+    n = rng.randint(min_letters, max_letters)
+    alphabet = Alphabet(string.ascii_lowercase[:n])
     images = tuple(
-        tuple(rng.randrange(n) for _ in range(rng.randint(0, max_image))) for _ in range(n)
+        tuple(rng.randrange(n) for _ in range(rng.randint(min_image, max_image))) for _ in range(n)
     )
     axiom = tuple(rng.randrange(n) for _ in range(rng.randint(1, 3)))
     return D0LSystem(Morphism(alphabet, alphabet, images), axiom)

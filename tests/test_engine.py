@@ -1,7 +1,10 @@
 import random
 
 from dolrep import (
+    Alphabet,
+    D0LSystem,
     FactorSource,
+    Morphism,
     analyze,
     canonical_rotation,
     classify_letters,
@@ -208,3 +211,17 @@ def test_high_growing_powers_all_reported(system_g, duplicate_pair):
                 system, v, half
             ):
                 assert canonical_rotation(primitive_root(v)) in reported, (system, v)
+
+
+def test_analyze_long_cycle_closed_form():
+    # a_i -> a_{i+1}, a_{L-1} -> a_0 a_0: phi^L sends every a_i to a_i a_i, so
+    # each letter is its own class; the Lando check runs once per letter with
+    # exponent L
+    size = 1200
+    alphabet = Alphabet(tuple(f"a{i}" for i in range(size)))
+    images = tuple((i + 1,) for i in range(size - 1)) + ((0, 0),)
+    report = analyze(D0LSystem(Morphism(alphabet, alphabet, images), (0,)))
+    assert [c.representative for c in report.classes] == [(i,) for i in range(size)]
+    assert all(c.source is FactorSource.UNBOUNDED for c in report.classes)
+    assert report.repetitive and not report.pushy
+    assert report.chain.steps == ()
