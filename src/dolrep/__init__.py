@@ -40,7 +40,6 @@ from .pushy import (
     is_pushy,
 )
 from .simplify import (
-    CodeReductionError,
     SimplificationChain,
     SimplificationError,
     SimplificationStep,

@@ -60,21 +60,28 @@ class AnalysisReport:
         return self.repetitive
 
 
+def _period_words(final: D0LSystem) -> tuple[list[Word], list[Word]]:
+    """Period words of the bounded-letter and the unbounded-letter infinite
+    periodic factors of a chain's final system; both empty when its language
+    is finite, since then nothing repeats unboundedly and A0-factors are finite.
+    """
+    if not final.morphism.classification.unbounded:
+        return [], []
+    bounded = [emission.period for emission in bounded_periodic_classes(final)]
+    return bounded, unbounded_periodic_classes(final)
+
+
 def analyze(system: D0LSystem) -> AnalysisReport:
     """Full analysis of a D0L-system; deterministic for equal inputs."""
     raw_classification = system.morphism.classification
     reduced = system.reduced()
-    if not reduced.morphism.classification.unbounded:
-        # Finite language: nothing repeats unboundedly and A0-factors are finite.
+    if reduced.morphism.classification.unbounded:
+        chain = injective_simplification(reduced)
+    else:
         chain = SimplificationChain(steps=(), systems=(reduced,))
-        return AnalysisReport(system, chain, raw_classification, pushy=False, classes=())
-
-    chain = injective_simplification(reduced)
-    final = chain.final_system
-    # is_pushy(final) by definition: some side-graph cycle pumps a bounded period.
-    bounded_words = [emission.period for emission in bounded_periodic_classes(final)]
+    bounded_words, unbounded_words = _period_words(chain.final_system)
     classes: dict[Word, PeriodicFactorClass] = {}
-    for word in bounded_words + unbounded_periodic_classes(final):
+    for word in bounded_words + unbounded_words:
         back = translate_word(chain.map_back(word), reduced.alphabet, system.alphabet)
         representative = canonical_rotation(primitive_root(back))
         if representative in classes:
@@ -86,6 +93,7 @@ def analyze(system: D0LSystem) -> AnalysisReport:
         )
 
     ordered = tuple(classes[r] for r in sorted(classes))
+    # is_pushy(final) by definition: some side-graph cycle pumps a bounded period.
     return AnalysisReport(
         system, chain, raw_classification, pushy=bool(bounded_words), classes=ordered
     )
@@ -112,11 +120,8 @@ def periodic_factor_graph(report: AnalysisReport) -> PeriodicFactorGraph:
     indegree are asserted to be exactly one.
     """
     final = report.chain.final_system
-    if not final.morphism.classification.unbounded:
-        return PeriodicFactorGraph((), {})
-    words = [emission.period for emission in bounded_periodic_classes(final)]
-    words.extend(unbounded_periodic_classes(final))
-    vertex_set = {canonical_rotation(primitive_root(w)) for w in words}
+    bounded_words, unbounded_words = _period_words(final)
+    vertex_set = {canonical_rotation(primitive_root(w)) for w in bounded_words + unbounded_words}
     vertices = tuple(sorted(vertex_set))
     edges: dict[Word, Word] = {}
     for v in vertices:

@@ -360,6 +360,10 @@ def code_witness(codewords: Sequence[Word]) -> tuple[tuple[int, ...], tuple[int,
     whose concatenations coincide.  States are dangling suffixes; each state
     remembers the two codeword sequences that produced it, so the first
     completed state yields a shortest (fewest-codewords) witness.
+
+    The two sequences start with different codewords, and the shorter of
+    those two heads is a proper prefix of the longer: every state descends
+    from an initial overhang y = x s with x a proper prefix of y.
     """
     words = [tuple(w) for w in codewords]
     if any(not w for w in words):

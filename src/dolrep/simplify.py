@@ -5,13 +5,17 @@ h: A* -> B*, k: B* -> A* with #B < #A and k o h = f; the simplified
 endomorphism is g = h o k on B.  Three constructions cover every
 non-injective case, applied in priority order until the morphism is
 injective: delete an erasing letter, merge letters with identical images,
-and shrink the image set to a smaller code (defect-style reduction).
+and replace the image set by the base of its free hull.
+
+The free hull of a set X of words is the smallest free submonoid containing
+it, and its base is a code Y with X in Y*.  When X is not a code, the defect
+theorem gives #Y < #X, so code reduction shrinks the alphabet
+(Berstel, Perrin & Reutenauer, *Codes and Automata*, ch. 1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .morphism import (
     Alphabet,
@@ -29,10 +33,6 @@ STEP_KINDS = ("erasing-elimination", "duplicate-merge", "code-reduction")
 
 class SimplificationError(RuntimeError):
     """A simplification step could not be carried out."""
-
-
-class CodeReductionError(SimplificationError):
-    """No smaller code basis generating the image set was found."""
 
 
 @dataclass(frozen=True)
@@ -137,62 +137,32 @@ def _factorization(word: Word, pieces: list[Word]) -> list[int] | None:
 
 
 def _reduce_to_code(images: list[Word]) -> set[Word]:
-    """Find a code Y with every image in Y+ and #Y < #images.
+    """Base of the free hull of the image set X.
 
-    Iterative shrinking: drop any word decomposable over the others, else
-    strip the lexicographically least proper-prefix pair (u, v) to u^-1 v.
-    Total length strictly decreases, so this terminates; the result is a
-    code because a prefix-free set is one.  A rare failure to shrink the
-    cardinality falls back to exhaustive search over small candidate bases.
+    The free hull is the smallest free submonoid F of A* containing X; its
+    base Y is the unique code with Y* = F.  Start from Y = X.  While Y is
+    not a code, take a relation from ``code_witness``: its head codewords u
+    and v satisfy v = u t with t non-empty.  If v factorizes over Y - {v},
+    drop it; Y* does not change.  Otherwise replace v by t: the relation
+    gives u, ut, ts, s in F for some s, and a free submonoid is stable, so
+    t lies in F.  Either way Y stays inside F with X in Y*, and the total
+    length of Y falls, so the loop ends, with Y a code, Y* = F and, by the
+    defect theorem, #Y < #X whenever X is not a code.
     """
-    X = set(images)
-    Y = set(X)
-    budget = sum(len(w) for w in Y) + 1
-    for _ in range(budget):
-        members = _sorted_words(Y)
-        if code_witness(members) is None:
-            break
-        dropped = False
-        for y in members:
-            others = _sorted_words(Y - {y})
-            if _factorization(y, others) is not None:
-                Y.discard(y)
-                dropped = True
-                break
-        if dropped:
-            continue
-        pairs = sorted(
-            (u, v) for u in Y for v in Y if len(u) < len(v) and v[: len(u)] == u
-        )
-        if not pairs:
-            raise SimplificationError("non-code word set is prefix-free: impossible")
-        u, v = pairs[0]
+    Y = set(images)
+    while (relation := code_witness(members := _sorted_words(Y))) is not None:
+        u, v = sorted((members[relation[0][0]], members[relation[1][0]]), key=len)
         Y.discard(v)
-        Y.add(v[len(u) :])
-    else:
-        raise SimplificationError("code reduction failed to terminate")
-
-    if len(Y) < len(X):
-        return Y
-
-    # Exhaustive fallback: small sets of factors of the images that jointly
-    # factorize every image and form a code.
-    max_len = max(len(x) for x in X)
-    pool = _sorted_words(
-        {x[i:j] for x in X for i in range(len(x)) for j in range(i + 1, min(len(x), i + max_len) + 1)}
-    )
-    for size in range(1, len(X)):
-        for combo in combinations(pool, size):
-            basis = list(combo)
-            if all(_factorization(x, basis) is not None for x in X) and code_witness(basis) is None:
-                return set(basis)
-    raise CodeReductionError("defect reduction failed: no smaller code basis found")
+        if _factorization(v, list(Y)) is None:
+            Y.add(v[len(u) :])
+    return Y
 
 
 def code_reduce(f: Morphism) -> SimplificationStep:
     """Shrink a non-erasing, duplicate-free, non-injective morphism via a code.
 
-    The image set X is replaced by a code Y with X in Y+ and #Y < #X.  Fresh
+    The image set X is replaced by the base Y of its free hull, the code
+    with Y* the smallest free submonoid containing X; #Y < #X.  Fresh
     letters x0, x1, ... name Y's members (ordered by length, then letter ids);
     k maps a fresh letter to its word and h(a) encodes the Y-factorization
     of f(a), which forces k o h = f.
@@ -204,10 +174,11 @@ def code_reduce(f: Morphism) -> SimplificationStep:
     images = [f.image(a) for a in range(len(f.source))]
     if len(set(images)) != len(images):
         raise ValueError("code reduction requires pairwise distinct images")
-    if code_witness(images) is None:
+    basis = _reduce_to_code(images)
+    if basis == set(images):
         raise ValueError("image set is already a code; nothing to reduce")
 
-    ordered = _sorted_words(_reduce_to_code(images))
+    ordered = _sorted_words(basis)
     fresh = Alphabet(tuple(f"x{i}" for i in range(len(ordered))))
     k = Morphism(fresh, f.source, tuple(ordered))
     h_images = []
@@ -231,10 +202,6 @@ class SimplificationChain:
 
     steps: tuple[SimplificationStep, ...]
     systems: tuple[D0LSystem, ...]
-
-    @property
-    def original_system(self) -> D0LSystem:
-        return self.systems[0]
 
     @property
     def final_system(self) -> D0LSystem:

@@ -197,5 +197,10 @@ def test_injectivity_against_brute_force_randomized():
             u, v = witness
             assert u != v
             assert phi(u) == phi(v)
+            if not phi.is_erasing() and len(set(phi.images)) == len(phi.images):
+                # code_witness's relation: the shorter head image is a proper
+                # prefix of the longer one, which code reduction relies on.
+                short, long_ = sorted((phi.image(u[0]), phi.image(v[0])), key=len)
+                assert len(short) < len(long_) and long_[: len(short)] == short
             checked_noninjective += 1
     assert checked_noninjective > 20  # the sample actually exercised the code path

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -7,6 +8,7 @@ from dolrep import (
     D0LSystem,
     Morphism,
     SimplificationError,
+    analyze,
     code_reduce,
     compose,
     eliminate_erasing,
@@ -16,6 +18,7 @@ from dolrep import (
     make_system,
     merge_duplicate_images,
 )
+from dolrep.cli import parse_system
 from corpus_util import random_system
 
 
@@ -110,6 +113,132 @@ def test_code_reduce_decomposable_image():
     step = code_reduce(f)
     assert len(step.k.source) == 1
     assert step.k.image(0) == Alphabet("ab").word("ab")
+
+
+def _basis(step):
+    return {step.k.image(i) for i in range(len(step.k.source))}
+
+
+@pytest.mark.parametrize("order", ["abc", "cba"])
+def test_code_reduce_free_hull(order):
+    # aa and aaa force a into every free submonoid holding both, so the hull
+    # base is {a, aab} whatever the letter ids; {a, b} also generates the
+    # images, but its monoid is larger.
+    f = _endo({"a": "aa", "b": "aab", "c": "aaa"}, order)
+    src = Alphabet(order)
+    assert _basis(code_reduce(f)) == {src.word("a"), src.word("aab")}
+
+
+def _is_code(words):
+    """Sardinas-Patterson on whole dangling-suffix sets: a code iff no set holds ()."""
+
+    def quotients(left, right):
+        return {w[len(p) :] for p in left for w in right if w[: len(p)] == p}
+
+    dangling = frozenset(quotients(words, words) - {()})
+    seen = set()
+    while dangling not in seen:
+        seen.add(dangling)
+        dangling = frozenset(quotients(words, dangling) | quotients(dangling, words))
+        if () in dangling:
+            return False
+    return True
+
+
+def _in_star(word, pieces):
+    reached = [True] + [False] * len(word)
+    for i in range(len(word)):
+        if reached[i]:
+            for p in pieces:
+                if word[i : i + len(p)] == p:
+                    reached[i + len(p)] = True
+    return reached[-1]
+
+
+def _tilings(words, limit):
+    """Every set of at most `limit` words, each used, whose monoid holds all of `words`."""
+    found = set()
+
+    def tile(i, pos, pieces):
+        if i == len(words):
+            found.add(pieces)
+        elif pos == len(words[i]):
+            tile(i + 1, 0, pieces)
+        else:
+            for end in range(pos + 1, len(words[i]) + 1):
+                piece = words[i][pos:end]
+                if piece in pieces:
+                    tile(i, end, pieces)
+                elif len(pieces) < limit:
+                    tile(i, end, pieces | {piece})
+
+    tile(0, 0, frozenset())
+    return found
+
+
+def _brute_hull_basis(words):
+    """The code among smaller tilings of `words` whose monoid lies in every other's.
+
+    The free hull's base is such a tiling (a member outside every image's
+    factorization could be dropped, leaving a smaller free submonoid), and
+    it is the only one: two codes generating each other's members generate
+    the same free monoid, whose base is unique.
+    """
+    codes = [c for c in _tilings(words, len(words) - 1) if _is_code(c)]
+    least = [c for c in codes if all(_in_star(y, other) for other in codes for y in c)]
+    assert len(least) == 1, (words, least)
+    return set(least[0]), len(codes)
+
+
+def test_code_reduce_free_hull_randomized():
+    # Image sets of 2-6 words of length 1-5 over 2-3 letters, as the images of
+    # an endomorphism on as many letters as there are words.
+    rng = random.Random(606)
+    non_codes = ambiguous = 0
+    for _ in range(1500):
+        n = rng.randint(2, 6)
+        letters = rng.randint(2, min(3, n))
+        images = set()
+        while len(images) < n:
+            images.add(tuple(rng.randrange(letters) for _ in range(rng.randint(1, 5))))
+        f = Morphism(Alphabet("abcdef"[:n]), Alphabet("abcdef"[:n]), tuple(sorted(images)))
+        if _is_code(images):
+            with pytest.raises(ValueError):
+                code_reduce(f)
+            continue
+        non_codes += 1
+        basis = _basis(code_reduce(f))
+        expected, candidates = _brute_hull_basis(sorted(images))
+        assert basis == expected, (sorted(images), basis, expected)
+        assert len(basis) < n
+        ambiguous += candidates > 1
+        perm = list(range(n))
+        rng.shuffle(perm)
+        renamed = Morphism(f.source, f.target, tuple(
+            tuple(perm[b] for b in f.image(perm.index(a))) for a in range(n)
+        ))
+        assert _basis(code_reduce(renamed)) == {tuple(perm[b] for b in w) for w in basis}
+    assert non_codes >= 500 and ambiguous >= 300, (non_codes, ambiguous)
+
+
+def test_code_reduce_drops_generated_words():
+    # U -> U U b1, b_i -> b_(i+1) b_(i+1), b_k -> z, z -> z at k = 16: the
+    # chain builds images up to 2^15 letters long.  Each code reduction must
+    # drop the long power of z that the other codewords generate; stripping
+    # it a letter at a time takes minutes.
+    k = 16
+    rules = {"U": ["U", "U", "b1"], "z": ["z"], f"b{k}": ["z"]}
+    rules.update({f"b{i}": [f"b{i + 1}"] * 2 for i in range(1, k)})
+    text = "alphabet: " + " ".join(rules) + "\naxiom: U\n"
+    text += "".join(f"{a} -> {' '.join(image)}\n" for a, image in rules.items())
+    system = parse_system(text)
+    start = time.perf_counter()
+    report = analyze(system)
+    assert time.perf_counter() - start < 15.0  # about 0.3 s with the drop, 70 s without
+    assert [system.alphabet.text(c.representative) for c in report.classes] == ["z"]
+    kinds = [step.kind for step in report.chain.steps]
+    assert kinds[0] == "duplicate-merge"
+    assert len(kinds) > 1 and set(kinds[1:]) == {"code-reduction"}
 
 
 def test_code_reduce_rejects_codes(system_g):
