@@ -7,6 +7,15 @@ directly on those iterates.  The oracle only gathers desk-scale evidence:
 a class is observed when some primitive word reaches the power threshold
 and its maximal power still grows between half depth and full depth, which
 separates unbounded repetition from static high powers.
+
+The maximal powers behind `observed_classes` come from a vectorised scan
+(`_accumulate_run_powers`): for each period l <= max_len, numpy finds the
+maximal l-periodic stretches of an iterate, lists every (unit, power) pair
+they hold and groups the pairs by unit with an exact sort, so Python code
+runs once per distinct unit, not per stretch or position.  Finding the
+stretches costs O(max_len * n) numpy work per iterate of n letters, and
+grouping O(l) per pair of period l; the scan holds the letters at one byte
+each when every id is below 256, and groups pairs in fixed-size chunks.
 """
 
 from __future__ import annotations
@@ -98,31 +107,91 @@ def max_power(system: D0LSystem, v: Word, params: OracleParams = OracleParams())
     return best
 
 
+# Unit letters grouped at a time (pairs per chunk times the period): keeps
+# the scratch arrays of one chunk below a MB whatever the text length.
+_CHUNK_LETTERS = 1 << 15
+
+
+def _letter_array(text: str) -> np.ndarray:
+    """The letter ids of text, one byte each when every id is below 256."""
+    try:
+        return np.frombuffer(text.encode("latin-1"), dtype=np.uint8)
+    except UnicodeEncodeError:
+        # "surrogatepass" accepts the ids 0xD800-0xDFFF that chr() allows
+        return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+
+
 def _accumulate_run_powers(text: str, max_len: int, powers: dict[str, int]) -> None:
     """Record, for every factor v with |v| <= max_len, the largest m >= 2 with
-    v^m a substring of text.  Works by locating maximal l-periodic stretches
-    (runs of text[i] == text[i+l]) and reading off the repeating units."""
+    v^m a substring of text.
+
+    For each period l, the maximal l-periodic stretches are the runs of
+    text[i] == text[i + l]: a run [r, e) of length at least l holds the
+    powers of the l units starting at r + d, d < min(l, e - r - l + 1), with
+    power (e - (r + d) + l) // l.  All these (position, power) pairs are built
+    at once, then sorted by unit (one `np.lexsort` over the unit's l letter
+    columns, so grouping is exact) and reduced to the highest power of each
+    distinct unit; only distinct units reach `powers`.
+
+    Cost per call on a text of n letters: numpy work O(n) per period to find
+    the stretches, so O(max_len * n) in all, plus O(l) per pair of period l
+    to group them (a period has fewer than n pairs, and on iterates far
+    fewer); Python work per distinct unit of each chunk.
+    Memory: the letters at one byte each when every id is below 256 (else
+    four), int32 positions (int64 only past 2**31 letters), the stretch
+    boundaries of one period (at most 12 bytes per letter while they are
+    found, far fewer on real iterates), and the scratch arrays of one chunk
+    of at most _CHUNK_LETTERS unit letters (one pair when l exceeds it).
+    """
     n = len(text)
     if n < 2:
         return
-    arr = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
+    letters = _letter_array(text)
+    index = np.int32 if n + max_len < 2**31 else np.int64  # positions, powers
     for l in range(1, min(max_len, n - 1) + 1):
-        eq = arr[:-l] == arr[l:]
-        if not eq.any():
+        # flags[1 + i] = text[i] == text[i + l], padded with a 0 at each end
+        flags = np.zeros(n - l + 2, dtype=np.int8)
+        np.equal(letters[:-l], letters[l:], out=flags[1:-1].view(np.bool_))
+        edges = np.flatnonzero(flags[1:] != flags[:-1]).astype(index)
+        del flags
+        starts, ends = edges[0::2], edges[1::2]
+        counts = ends - starts  # then the number of units with power >= 2
+        counts -= l - 1
+        np.minimum(counts, l, out=counts)
+        keep = counts > 0
+        if not keep.any():
             continue
-        flags = np.concatenate(([False], eq, [False]))
-        boundaries = np.flatnonzero(np.diff(flags.astype(np.int8)))
-        for r, e in zip(boundaries[0::2], boundaries[1::2]):
-            run = int(e - r)
-            if run < l:
-                continue  # stretch shorter than 2 full periods
-            for d in range(l):
-                m = (run + l - d) // l
-                if m < 2:
-                    break
-                unit = text[r + d : r + d + l]
-                if powers.get(unit, 0) < m:
-                    powers[unit] = m
+        starts, ends, counts = starts[keep], ends[keep], counts[keep]
+        firsts = np.cumsum(counts, dtype=index) - counts  # each stretch's first pair
+        total = int(firsts[-1] + counts[-1])
+        step = max(1, _CHUNK_LETTERS // l)
+        for lo in range(0, total, step):
+            hi = min(lo + step, total)
+            # the stretches a..b-1 hold the pairs lo..hi-1
+            a = int(np.searchsorted(firsts, lo, side="right")) - 1
+            b = int(np.searchsorted(firsts, hi))
+            s = np.repeat(np.arange(a, b), counts[a:b])[lo - firsts[a] : hi - firsts[a]]
+            pos = starts[s] + (np.arange(lo, hi, dtype=index) - firsts[s])
+            _keep_highest(text, letters, l, pos, (ends[s] + l - pos) // l, powers)
+
+
+def _keep_highest(
+    text: str, letters: np.ndarray, l: int, pos: np.ndarray, power: np.ndarray, powers: dict[str, int]
+) -> None:
+    """Raise powers[text[p : p + l]] to the highest power among the pairs."""
+    columns = [letters[pos + j] for j in range(l)]
+    order = np.lexsort(columns)  # any key order puts equal units together
+    head = np.zeros(len(order), dtype=np.bool_)
+    head[0] = True
+    for column in columns:
+        column = column[order]
+        head[1:] |= column[1:] != column[:-1]
+    heads = np.flatnonzero(head)
+    highest = np.maximum.reduceat(power[order], heads)
+    for p, m in zip(pos[order[heads]].tolist(), highest.tolist()):
+        unit = text[p : p + l]
+        if powers.get(unit, 0) < m:
+            powers[unit] = m
 
 
 def observed_classes(system: D0LSystem, params: OracleParams = OracleParams()) -> set[Word]:

@@ -1,3 +1,6 @@
+import random
+import re
+
 import pytest
 
 from dolrep import (
@@ -8,6 +11,8 @@ from dolrep import (
     max_power,
     observed_classes,
 )
+from dolrep import oracle
+from dolrep.oracle import _accumulate_run_powers
 
 
 def test_factors_small_depth(system_g):
@@ -97,3 +102,84 @@ def test_params_validation():
         OracleParams(power_threshold=1)
     with pytest.raises(ValueError):
         OracleParams(max_len=0)
+
+
+def _reference_run_powers(text: str, max_len: int) -> dict[str, int]:
+    """For every factor u with |u| <= max_len, the largest m >= 2 with u^m in
+    text, by direct search."""
+    powers = {}
+    for l in range(1, max_len + 1):
+        for u in {text[i : i + l] for i in range(len(text) - l + 1)}:
+            m = 1
+            while u * (m + 1) in text:
+                m += 1
+            if m >= 2:
+                powers[u] = m
+    return powers
+
+
+def _random_texts(rng: random.Random):
+    """Seeded texts over 1-4 letters from each base id: periodic with a few
+    changed letters (units up to 12 letters long), or uniform."""
+    for base in (0, 250, 1000, 0xD7FE, 70_000):
+        for _ in range(40):
+            k, n = rng.randint(1, 4), rng.randint(0, 300)
+            if rng.random() < 0.6:
+                unit = [rng.randrange(k) for _ in range(rng.randint(1, 12))]
+                ids = [unit[i % len(unit)] for i in range(n)]
+                for _ in range(rng.randint(0, 4)):
+                    if ids:
+                        ids[rng.randrange(n)] = rng.randrange(k)
+            else:
+                ids = [rng.randrange(k) for _ in range(n)]
+            yield "".join(chr(base + i) for i in ids)
+
+
+@pytest.mark.parametrize("chunk_letters", [None, 8])
+def test_run_powers_against_brute_force(monkeypatch, chunk_letters):
+    # A chunk of 8 letters holds fewer stretches than most texts have, so
+    # the pairs of one period are grouped across many chunk boundaries.
+    if chunk_letters is not None:
+        monkeypatch.setattr(oracle, "_CHUNK_LETTERS", chunk_letters)
+    rng = random.Random(7)
+    long_units = wide_ids = 0
+    for text in _random_texts(rng):
+        max_len = rng.choice((1, 2, 8, 11))
+        powers = {}
+        _accumulate_run_powers(text, max_len, powers)
+        assert powers == _reference_run_powers(text, max_len), (text, max_len)
+        long_units += any(len(u) > 8 for u in powers)
+        wide_ids += bool(text) and max(text) >= chr(256)
+    assert long_units >= 10 and wide_ids >= 100  # both regimes were exercised
+
+
+def test_run_powers_across_chunks_of_default_size():
+    rng = random.Random(11)
+    text = "".join(rng.choice(("aab", "abab", "aaab", "b", "bba")) for _ in range(60_000))
+    # every run of a repeated letter is one period-1 pair: more than a chunk holds
+    assert len(re.findall(r"(.)\1+", text)) > oracle._CHUNK_LETTERS
+    powers = {}
+    _accumulate_run_powers(text, 4, powers)
+    assert powers == _reference_run_powers(text, 4)
+
+
+def test_run_powers_one_letter_repeated():
+    text = "a" * 5000
+    powers = {}
+    _accumulate_run_powers(text, 11, powers)
+    assert powers == {"a" * l: 5000 // l for l in range(1, 12)}
+    assert powers == _reference_run_powers(text, 11)
+
+
+def test_run_powers_accumulate_into_existing_dict():
+    # powers found earlier are raised, never lowered
+    powers = {"ab": 5, "a": 1}
+    _accumulate_run_powers("abababaaa", 2, powers)
+    assert powers == {"ab": 5, "ba": 3, "a": 3}
+
+
+def test_run_powers_accept_surrogate_letter_ids():
+    # chr() accepts the ids 0xD800-0xDFFF; a strict UTF-32 encoding refuses them
+    powers = {}
+    _accumulate_run_powers(chr(0xD800) * 4, 2, powers)
+    assert powers == {chr(0xD800): 4, chr(0xD800) * 2: 2}
