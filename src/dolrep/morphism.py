@@ -352,6 +352,20 @@ def functional_cycles(vertices: Iterable[int], target: Callable[[int], int]) -> 
     return out
 
 
+def _common_prefix_end(x: Word, y: Word, lo: int, hi: int) -> int:
+    """The largest p <= hi with x[lo:p] == y[lo:p].
+
+    A binary search over slice equality, so the letters are compared in C.
+    """
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if x[lo:mid] == y[lo:mid]:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
 def code_witness(codewords: Sequence[Word]) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """Sardinas-Patterson test with certificate.
 
@@ -364,6 +378,18 @@ def code_witness(codewords: Sequence[Word]) -> tuple[tuple[int, ...], tuple[int,
     The two sequences start with different codewords, and the shorter of
     those two heads is a proper prefix of the longer: every state descends
     from an initial overhang y = x s with x a proper prefix of y.
+
+    The codewords are indexed once by a trie over their letters in which
+    each chain of single-child nodes is one edge, labelled by a slice of a
+    codeword, so n codewords give at most 2n + 1 nodes.  Each node holds the
+    index of the codeword ending there and the increasing indices of the
+    codewords through it; these lists total at most the summed codeword
+    length.  One walk of an overhang s finds the codeword equal to s, the
+    codewords that are proper prefixes of s and those that properly extend
+    it.  They are taken in increasing index, as a scan of every codeword
+    meets them, so the queue and the witness are those of that scan.  A walk
+    takes one Python step per node on its path and compares O(|s|) letters
+    by slicing; codewords off that path cost a state nothing.
     """
     words = [tuple(w) for w in codewords]
     if any(not w for w in words):
@@ -371,28 +397,81 @@ def code_witness(codewords: Sequence[Word]) -> tuple[tuple[int, ...], tuple[int,
     if len(set(words)) != len(words):
         raise ValueError("codewords must be pairwise distinct")
 
-    word_of = dict(enumerate(words))
+    # Node 0 is the root.  A node at depth p whose parent is at depth d is
+    # reached by the edge words[w][d:p], where labels[node] = (w, p).
+    children: list[dict[int, int]] = [{}]
+    labels = [(0, 0)]
+    ends = [-1]  # index of the codeword ending at each node, or -1
+    for j, y in enumerate(words):
+        node = d = 0
+        while d < len(y):
+            child = children[node].get(y[d])
+            if child is None:
+                child = children[node][y[d]] = len(ends)
+                children.append({})
+                labels.append((j, len(y)))
+                ends.append(-1)
+                node, d = child, len(y)
+                continue
+            w, depth = labels[child]
+            p = _common_prefix_end(words[w], y, d + 1, min(depth, len(y)))
+            if p < depth:  # split the edge at depth p
+                children.append({words[w][p]: child})
+                child = children[node][y[d]] = len(ends)
+                labels.append((w, p))
+                ends.append(-1)
+            node, d = child, p
+        ends[node] = j
+    through: list[list[int]] = [[] for _ in ends]
+    word_node = []
+    for j, y in enumerate(words):
+        node = 0
+        while labels[node][1] < len(y):
+            node = children[node][y[labels[node][1]]]
+            through[node].append(j)
+        word_node.append(node)
+
     # state: (overhang s, ahead, behind) with concat(ahead) = concat(behind) + s
     queue: deque[tuple[Word, list[int], list[int]]] = deque()
     seen: set[Word] = set()
-    for i, x in word_of.items():
-        for j, y in word_of.items():
-            if len(x) < len(y) and y[: len(x)] == x:
-                s = y[len(x) :]
+    for i, x in enumerate(words):
+        for j in through[word_node[i]]:
+            if j != i:
+                s = words[j][len(x) :]
                 if s not in seen:
                     seen.add(s)
                     queue.append((s, [j], [i]))
     while queue:
         s, ahead, behind = queue.popleft()
-        for j, y in word_of.items():
-            if y == s:
-                return tuple(ahead), tuple(behind + [j])
-            if len(y) > len(s) and y[: len(s)] == s:
+        matches: list[int] = []  # codewords that are proper prefixes or extensions of s
+        node = d = 0
+        while d < len(s):
+            child = children[node].get(s[d])
+            if child is None:
+                break
+            w, depth = labels[child]
+            # the first letter of the edge matched as the key of child
+            if depth > len(s):  # s ends inside this edge
+                if s[d + 1 :] == words[w][d + 1 : len(s)]:
+                    matches.extend(through[child])
+                break
+            if depth > d + 1 and s[d + 1 : depth] != words[w][d + 1 : depth]:
+                break
+            node, d = child, depth
+            if d < len(s) and ends[node] >= 0:
+                matches.append(ends[node])
+        else:
+            if ends[node] >= 0:
+                return tuple(ahead), tuple(behind + [ends[node]])
+            matches.extend(through[node])
+        for j in sorted(matches):
+            y = words[j]
+            if len(y) > len(s):
                 t = y[len(s) :]
                 if t not in seen:
                     seen.add(t)
                     queue.append((t, behind + [j], ahead))
-            elif len(s) > len(y) and s[: len(y)] == y:
+            else:
                 t = s[len(y) :]
                 if t not in seen:
                     seen.add(t)

@@ -47,17 +47,31 @@ class OracleParams:
 
 
 def _iterate_strings(system: D0LSystem, depth: int, cap: int) -> list[str]:
-    """phi^0(w) .. phi^depth(w) encoded with chr(letter id)."""
-    table = {a: "".join(map(chr, system.morphism.image(a))) for a in range(len(system.alphabet))}
+    """phi^0(w) .. phi^depth(w) encoded with chr(letter id).
+
+    The length of the next iterate is found from the letter counts of the
+    current one before it is built, so an iterate over the budget is never
+    materialised.
+    """
+    images = system.morphism.images
+    table = {a: "".join(map(chr, img)) for a, img in enumerate(images)}
+    counts = [0] * len(images)
+    for a in system.axiom:
+        counts[a] += 1
     text = "".join(map(chr, system.axiom))
     out = [text]
     for _ in range(depth):
+        length = sum(c * len(img) for c, img in zip(counts, images))
+        if length > cap:
+            raise OracleResourceError(f"iterate length {length} exceeds the {cap}-letter budget")
         text = text.translate(table)
-        if len(text) > cap:
-            raise OracleResourceError(
-                f"iterate length {len(text)} exceeds the {cap}-letter budget"
-            )
         out.append(text)
+        nxt = [0] * len(images)
+        for a, c in enumerate(counts):
+            if c:
+                for b in images[a]:
+                    nxt[b] += c
+        counts = nxt
     return out
 
 

@@ -6,6 +6,18 @@ the alphabet size, filtered through the three-step pure-periodicity check
 (find a repeated unbounded letter in an iterate, require the candidate letter
 itself to repeat, and test that the prefix up to its second occurrence is a
 proper-power root of its own image).
+
+The check runs once per cycle of the first-letter graph, not once per
+letter.  Let a be on a cycle of length l, b = first(phi(a)) and psi = phi^l.
+psi commutes with phi, and psi^n(b) is a prefix of phi(psi^n(a)), so
+psi^omega(b) = phi(psi^omega(a)); going round the cycle gives the converse.
+On the injective systems the engine hands over, the check accepts a letter
+exactly when its psi^omega is purely periodic.  Hence either every letter of
+a cycle is accepted or none is, and when psi^omega(a) = w^omega with w
+primitive, psi^omega(b) = phi(w)^omega, whose primitive period is
+primitive_root(phi(w)) by Fine-Wilf uniqueness.  On the cyclic family
+a_i -> a_(i+1), a_(L-1) -> a_0 a_0 this keeps the stage linear in L; a check
+per letter, each expanding phi^L, would make it quadratic.
 """
 
 from __future__ import annotations
@@ -156,11 +168,32 @@ def unbounded_periodic_classes(system: D0LSystem) -> list[Word]:
     The system is expected to be the reduced injective simplification, which
     makes every accepted v^m an actual factor of the language; injectivity is
     not re-verified here.
+
+    Lando's check runs on the least letter a of each first-letter cycle
+    only.  Its accepted period w_a gives the next letter b = first(phi(a))
+    the period primitive_root(phi(w_a)), and a rejection rejects the whole
+    cycle: psi = phi^l, l the cycle's length, commutes with phi, so
+    psi^omega(b) = phi(psi^omega(a)), and the converse holds going round the
+    cycle; a purely periodic word has one primitive period (Fine-Wilf).
+    The words come out in candidate order, each once, as a check of every
+    candidate letter would give them.  On a non-injective system, where the
+    check can reject a letter whose psi^omega is periodic, that may differ.
     """
     phi = system.morphism
-    out: list[Word] = []
-    for cand in first_letter_candidates(system):
-        v = lando_periodic_check(phi, cand.exponent, cand.letter)
-        if v is not None:
-            out.append(primitive_root(v))
-    return list(dict.fromkeys(out))
+    candidates = first_letter_candidates(system)
+    period: dict[int, Word | None] = {}
+    for cand in candidates:
+        a = cand.letter
+        if a in period:
+            continue
+        v = lando_periodic_check(phi, cand.exponent, a)
+        w = None if v is None else primitive_root(v)
+        while True:
+            period[a] = w
+            a = phi.first_letter(a)
+            if a in period:
+                break
+            if w is not None:
+                w = primitive_root(phi(w))
+    words = (period[cand.letter] for cand in candidates)
+    return list(dict.fromkeys(w for w in words if w is not None))

@@ -1,4 +1,5 @@
 import random
+import time
 
 from dolrep import (
     Alphabet,
@@ -213,15 +214,32 @@ def test_high_growing_powers_all_reported(system_g, duplicate_pair):
                 assert canonical_rotation(primitive_root(v)) in reported, (system, v)
 
 
-def test_analyze_long_cycle_closed_form():
-    # a_i -> a_{i+1}, a_{L-1} -> a_0 a_0: phi^L sends every a_i to a_i a_i, so
-    # each letter is its own class; the Lando check runs once per letter with
-    # exponent L
-    size = 1200
+def _long_cycle_report(size):
     alphabet = Alphabet(tuple(f"a{i}" for i in range(size)))
     images = tuple((i + 1,) for i in range(size - 1)) + ((0, 0),)
-    report = analyze(D0LSystem(Morphism(alphabet, alphabet, images), (0,)))
+    return analyze(D0LSystem(Morphism(alphabet, alphabet, images), (0,)))
+
+
+def test_analyze_long_cycle_closed_form():
+    # a_i -> a_{i+1}, a_{L-1} -> a_0 a_0: phi^L sends every a_i to a_i a_i, so
+    # each letter is its own class; all L letters lie on one first-letter
+    # cycle, so the Lando check runs once, with exponent L, and phi gives the
+    # other periods
+    size = 1200
+    report = _long_cycle_report(size)
     assert [c.representative for c in report.classes] == [(i,) for i in range(size)]
     assert all(c.source is FactorSource.UNBOUNDED for c in report.classes)
     assert report.repetitive and not report.pushy
     assert report.chain.steps == ()
+
+
+def test_analyze_longer_cycle_closed_form_in_linear_time():
+    size = 6000
+    start = time.perf_counter()
+    report = _long_cycle_report(size)
+    elapsed = time.perf_counter() - start
+    assert [c.representative for c in report.classes] == [(i,) for i in range(size)]
+    assert all(c.source is FactorSource.UNBOUNDED for c in report.classes)
+    assert report.repetitive and not report.pushy
+    assert report.chain.steps == ()
+    assert elapsed < 10, f"L = {size} took {elapsed:.1f} s"

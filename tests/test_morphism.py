@@ -1,4 +1,6 @@
 import random
+from collections import deque
+from itertools import chain
 
 import pytest
 
@@ -13,6 +15,7 @@ from dolrep import (
     make_system,
     mortal_letters,
 )
+from dolrep.morphism import code_witness
 from corpus_util import brute_injectivity_witness, random_system, simulated_bounded
 
 
@@ -204,3 +207,54 @@ def test_injectivity_against_brute_force_randomized():
                 assert len(short) < len(long_) and long_[: len(short)] == short
             checked_noninjective += 1
     assert checked_noninjective > 20  # the sample actually exercised the code path
+
+
+def _all_pairs_code_witness(words):
+    """Sardinas-Patterson comparing every state with every codeword in index order."""
+    queue = deque()
+    seen = set()
+    for i, x in enumerate(words):
+        for j, y in enumerate(words):
+            if len(x) < len(y) and y[: len(x)] == x and y[len(x) :] not in seen:
+                seen.add(y[len(x) :])
+                queue.append((y[len(x) :], [j], [i]))
+    while queue:
+        s, ahead, behind = queue.popleft()
+        for j, y in enumerate(words):
+            if y == s:
+                return tuple(ahead), tuple(behind + [j])
+            if len(y) > len(s) and y[: len(s)] == s and y[len(s) :] not in seen:
+                seen.add(y[len(s) :])
+                queue.append((y[len(s) :], behind + [j], ahead))
+            elif len(s) > len(y) and s[: len(y)] == y and s[len(y) :] not in seen:
+                seen.add(s[len(y) :])
+                queue.append((s[len(y) :], ahead, behind + [j]))
+    return None
+
+
+def _concat(words):
+    return tuple(chain.from_iterable(words))
+
+
+def test_code_witness_against_all_pairs_search():
+    rng = random.Random(6060)
+    non_codes = long_non_codes = 0
+    for k in range(2000):
+        letters = rng.randint(1, 4)
+        if k % 8:
+            size, longest = rng.randint(1, 8), rng.choice((2, 4, 6, 12))
+            pool = {tuple(rng.randrange(letters) for _ in range(rng.randint(1, longest))) for _ in range(size)}
+        else:
+            # concatenations of a few short blocks: images past 1 000 letters
+            blocks = [tuple(rng.randrange(letters) for _ in range(rng.randint(1, 5))) for _ in range(3)]
+            pool = {_concat(rng.choice(blocks) for _ in range(rng.randint(250, 500))) for _ in range(3)}
+            pool |= set(rng.sample(blocks, rng.randint(0, 3)))
+        words = sorted(pool)
+        rng.shuffle(words)
+        witness = code_witness(words)
+        assert witness == _all_pairs_code_witness(words), words
+        if witness is not None:
+            non_codes += 1
+            long_non_codes += max(map(len, words)) > 1000
+    assert non_codes >= 500
+    assert long_non_codes >= 50, long_non_codes

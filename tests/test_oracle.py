@@ -1,5 +1,6 @@
 import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -40,6 +41,19 @@ def test_factors_exclude_empty_word(system_g):
 def test_factors_resource_guard(doubling):
     with pytest.raises(OracleResourceError):
         factors_up_to(doubling, OracleParams(depth=12, max_len=2, max_word_len=1000))
+
+
+def test_budget_exit_builds_no_over_budget_iterate():
+    # a -> a^300: the depth-3 iterate would hold 27M letters
+    system = make_system({"a": "a" * 300}, "a")
+    tracemalloc.start()
+    try:
+        with pytest.raises(OracleResourceError, match="^iterate length 27000000 exceeds the 100000-letter budget$"):
+            observed_classes(system, OracleParams(depth=4, max_word_len=100_000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
 
 
 def test_max_power_system_g(system_g):

@@ -11,8 +11,11 @@ from dolrep import (
     first_letter_candidates,
     lando_periodic_check,
     make_system,
+    primitive_root,
     unbounded_periodic_classes,
 )
+from dolrep.morphism import functional_cycles
+from corpus_util import random_system
 
 
 def test_candidates_system_g(system_g):
@@ -133,3 +136,52 @@ def test_lando_rejection_builds_no_long_word(monkeypatch):
     monkeypatch.setattr(Morphism, "apply", short_apply)
     monkeypatch.setattr(Morphism, "__call__", short_apply)
     assert analyze(system).classes == ()
+
+
+def _per_letter_reference(system):
+    """Lando's check on every candidate letter: {letter: primitive period or None}."""
+    phi = system.morphism
+    out = {}
+    for cand in first_letter_candidates(system):
+        v = lando_periodic_check(phi, cand.exponent, cand.letter)
+        out[cand.letter] = None if v is None else primitive_root(v)
+    return out
+
+
+def _permutation_first_letters(rng):
+    # first(phi(a)) is a permutation, so every letter lies on a first-letter cycle
+    n = rng.randint(2, 10)
+    firsts = list(range(n))
+    rng.shuffle(firsts)
+    images = tuple(
+        (firsts[a],)
+        + tuple(rng.choice((firsts[a], a, rng.randrange(n))) for _ in range(rng.choice((0, 0, 1, 1, 2, 3))))
+        for a in range(n)
+    )
+    return _system(images, (rng.randrange(n),))
+
+
+def test_one_check_per_cycle_matches_per_letter_reference():
+    rng = Random(8080)
+    accepted_long_cycles = 0
+    for k in range(1600):
+        if k % 2:
+            system = _permutation_first_letters(rng)
+        else:
+            system = random_system(rng, max_letters=8, min_image=1)
+        final = analyze(system).chain.final_system
+        if not final.morphism.classification.unbounded:
+            continue
+        reference = _per_letter_reference(final)
+        words = [w for w in reference.values() if w is not None]
+        assert unbounded_periodic_classes(final) == list(dict.fromkeys(words)), final
+        phi = final.morphism
+        for cycle in functional_cycles(reference, phi.first_letter):
+            periods = [reference[a] for a in cycle]
+            # every letter of a cycle is accepted or none is
+            assert (periods[0] is None) == all(w is None for w in periods), final
+            if len(cycle) >= 2 and periods[0] is not None:
+                accepted_long_cycles += 1
+                for a, w in zip(cycle, periods[1:] + periods[:1]):
+                    assert w == primitive_root(phi(reference[a]))
+    assert accepted_long_cycles >= 50
