@@ -10,9 +10,10 @@ whitespace; multi-character symbols are fine):
     2 -> 1
 
 Every declared letter needs exactly one rule; an empty right-hand side
-denotes the empty word.  Exit codes: 0 success, 1 parse error, 2 internal
-invariant failure or command-line usage error, 3 oracle disagreement under
---verify, 4 oracle iterate over its length budget under --verify.
+denotes the empty word.  Exit codes: 0 success, 1 parse error or a file that
+cannot be read as UTF-8, 2 internal invariant failure or command-line usage
+error, 3 oracle disagreement under --verify, 4 oracle iterate over its length
+budget under --verify.
 """
 
 from __future__ import annotations
@@ -203,10 +204,7 @@ def run(argv: Sequence[str]) -> int:
 
     try:
         system = parse_system(_read_input(args.file))
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ParseError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -46,9 +46,21 @@ class PeriodicFactorClass:
 class AnalysisReport:
     original: D0LSystem
     chain: SimplificationChain
-    classification: LetterClassification  # of the original system's morphism
-    pushy: bool
+    # Period words of the final system's bounded-letter and unbounded-letter
+    # infinite periodic factors, over its alphabet.
+    bounded_periods: tuple[Word, ...]
+    unbounded_periods: tuple[Word, ...]
     classes: tuple[PeriodicFactorClass, ...]
+
+    @property
+    def classification(self) -> LetterClassification:
+        """Letter classification of the original system's morphism."""
+        return self.original.morphism.classification
+
+    @property
+    def pushy(self) -> bool:
+        """is_pushy(final) by definition: some side-graph cycle pumps a bounded period."""
+        return bool(self.bounded_periods)
 
     @property
     def repetitive(self) -> bool:
@@ -60,43 +72,32 @@ class AnalysisReport:
         return self.repetitive
 
 
-def _period_words(final: D0LSystem) -> tuple[list[Word], list[Word]]:
-    """Period words of the bounded-letter and the unbounded-letter infinite
-    periodic factors of a chain's final system; both empty when its language
-    is finite, since then nothing repeats unboundedly and A0-factors are finite.
-    """
-    if not final.morphism.classification.unbounded:
-        return [], []
-    bounded = [emission.period for emission in bounded_periodic_classes(final)]
-    return bounded, unbounded_periodic_classes(final)
-
-
 def analyze(system: D0LSystem) -> AnalysisReport:
     """Full analysis of a D0L-system; deterministic for equal inputs."""
-    raw_classification = system.morphism.classification
     reduced = system.reduced()
+    chain = SimplificationChain(steps=(), systems=(reduced,))
+    bounded_periods = unbounded_periods = ()
+    # A finite language has nothing that repeats unboundedly.
     if reduced.morphism.classification.unbounded:
         chain = injective_simplification(reduced)
-    else:
-        chain = SimplificationChain(steps=(), systems=(reduced,))
-    bounded_words, unbounded_words = _period_words(chain.final_system)
+        final = chain.final_system
+        bounded_periods = tuple(emission.period for emission in bounded_periodic_classes(final))
+        unbounded_periods = tuple(unbounded_periodic_classes(final))
+    bounded_letters = system.morphism.classification.bounded
     classes: dict[Word, PeriodicFactorClass] = {}
-    for word in bounded_words + unbounded_words:
+    for word in bounded_periods + unbounded_periods:
         back = translate_word(chain.map_back(word), reduced.alphabet, system.alphabet)
         representative = canonical_rotation(primitive_root(back))
         if representative in classes:
             continue
-        bounded = all(a in raw_classification.bounded for a in representative)
+        bounded = all(a in bounded_letters for a in representative)
         classes[representative] = PeriodicFactorClass(
             representative=representative,
             source=FactorSource.BOUNDED if bounded else FactorSource.UNBOUNDED,
         )
 
     ordered = tuple(classes[r] for r in sorted(classes))
-    # is_pushy(final) by definition: some side-graph cycle pumps a bounded period.
-    return AnalysisReport(
-        system, chain, raw_classification, pushy=bool(bounded_words), classes=ordered
-    )
+    return AnalysisReport(system, chain, bounded_periods, unbounded_periods, ordered)
 
 
 def is_repetitive(system: D0LSystem) -> bool:
@@ -120,8 +121,8 @@ def periodic_factor_graph(report: AnalysisReport) -> PeriodicFactorGraph:
     indegree are asserted to be exactly one.
     """
     final = report.chain.final_system
-    bounded_words, unbounded_words = _period_words(final)
-    vertex_set = {canonical_rotation(primitive_root(w)) for w in bounded_words + unbounded_words}
+    words = report.bounded_periods + report.unbounded_periods
+    vertex_set = {canonical_rotation(primitive_root(w)) for w in words}
     vertices = tuple(sorted(vertex_set))
     edges: dict[Word, Word] = {}
     for v in vertices:

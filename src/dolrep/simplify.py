@@ -23,7 +23,6 @@ from .morphism import (
     Morphism,
     code_witness,
     compose,
-    injectivity_witness,
     translate_word,
 )
 from .words import Word
@@ -110,52 +109,71 @@ def _sorted_words(words) -> list[Word]:
     return sorted(words, key=lambda w: (len(w), w))
 
 
-def _factorization(word: Word, pieces: list[Word]) -> list[int] | None:
-    """Indices of one factorization of word over pieces, or None."""
+def _factorization(word: Word, pieces) -> list[Word] | None:
+    """One factorization of word over pieces, as a list of pieces, or None."""
     n = len(word)
-    parent: list[tuple[int, int] | None] = [None] * (n + 1)
-    reached = [False] * (n + 1)
-    reached[0] = True
-    for i in range(n + 1):
-        if not reached[i]:
+    start: list[int | None] = [0] + [None] * n  # where a last piece ending here starts
+    for i in range(n):
+        if start[i] is None:
             continue
-        for pi, p in enumerate(pieces):
+        for p in pieces:
             j = i + len(p)
-            if j <= n and not reached[j] and word[i:j] == p:
-                reached[j] = True
-                parent[j] = (i, pi)
-    if not reached[n]:
+            if j <= n and start[j] is None and word[i:j] == p:
+                start[j] = i
+    if start[n] is None:
         return None
-    out: list[int] = []
-    pos = n
-    while pos:
-        prev, pi = parent[pos]  # type: ignore[misc]
-        out.append(pi)
-        pos = prev
-    out.reverse()
-    return out
+    out: list[Word] = []
+    while n:
+        out.append(word[start[n] : n])
+        n = start[n]
+    return out[::-1]
 
 
-def _reduce_to_code(images: list[Word]) -> set[Word]:
-    """Base of the free hull of the image set X.
+def _reduce_to_code(images: tuple[Word, ...]) -> list[list[Word]] | None:
+    """Factorizations of the images over the base of their free hull, or
+    None when the image set X is already a code.
 
     The free hull is the smallest free submonoid F of A* containing X; its
-    base Y is the unique code with Y* = F.  Start from Y = X.  While Y is
-    not a code, take a relation from ``code_witness``: its head codewords u
-    and v satisfy v = u t with t non-empty.  If v factorizes over Y - {v},
-    drop it; Y* does not change.  Otherwise replace v by t: the relation
-    gives u, ut, ts, s in F for some s, and a free submonoid is stable, so
-    t lies in F.  Either way Y stays inside F with X in Y*, and the total
-    length of Y falls, so the loop ends, with Y a code, Y* = F and, by the
-    defect theorem, #Y < #X whenever X is not a code.
+    base Y is the unique code with Y* = F.  Start from Y = X, each image
+    spelled by itself.  While Y is not a code, take a relation from
+    ``code_witness``: its head codewords u and v satisfy v = u t with t
+    non-empty.  If v factorizes over Y - {v}, drop it; Y* does not change.
+    Otherwise replace v by t: the relation gives u, ut, ts, s in F for some
+    s, and a free submonoid is stable, so t lies in F.  In the images'
+    spellings v becomes its factorization over Y - {v}, or u t.  Either way
+    Y stays inside F with X in Y*, and the total length of Y falls, so the
+    loop ends, with Y a code, Y* = F and, by the defect theorem, #Y < #X
+    whenever X is not a code.  Every member of Y occurs in some spelling,
+    since without it the images would lie in a smaller free submonoid.
+
+    This loop is also the injectivity test of a non-erasing morphism with
+    distinct images: its first ``code_witness`` call finds no relation
+    exactly when the morphism is injective.
     """
     Y = set(images)
+    spelled = [[x] for x in images]
     while (relation := code_witness(members := _sorted_words(Y))) is not None:
         u, v = sorted((members[relation[0][0]], members[relation[1][0]]), key=len)
         Y.discard(v)
-        if _factorization(v, list(Y)) is None:
-            Y.add(v[len(u) :])
-    return Y
+        replacement = _factorization(v, Y) or [u, v[len(u) :]]
+        Y.update(replacement)
+        spelled = [[w for y in s for w in (replacement if y == v else [y])] for s in spelled]
+    # Every round shortens Y, so Y is still X only if the first test found no relation.
+    return None if Y == set(images) else spelled
+
+
+def _code_step(f: Morphism) -> SimplificationStep | None:
+    """Code reduction of f, or None when f's distinct non-empty images
+    form a code, that is, when f is injective."""
+    spelled = _reduce_to_code(f.images)
+    if spelled is None:
+        return None
+    ordered = _sorted_words({y for spelling in spelled for y in spelling})
+    index = {y: i for i, y in enumerate(ordered)}
+    fresh = Alphabet(tuple(f"x{i}" for i in range(len(ordered))))
+    k = Morphism(fresh, f.source, tuple(ordered))
+    h = Morphism(f.source, fresh, tuple(tuple(index[y] for y in spelling) for spelling in spelled))
+    return _checked_step("code-reduction", f, h, k)
 
 
 def code_reduce(f: Morphism) -> SimplificationStep:
@@ -164,31 +182,18 @@ def code_reduce(f: Morphism) -> SimplificationStep:
     The image set X is replaced by the base Y of its free hull, the code
     with Y* the smallest free submonoid containing X; #Y < #X.  Fresh
     letters x0, x1, ... name Y's members (ordered by length, then letter ids);
-    k maps a fresh letter to its word and h(a) encodes the Y-factorization
-    of f(a), which forces k o h = f.
+    k maps a fresh letter to its word and h(a) spells f(a) over Y, as the
+    free-hull loop leaves it, which forces k o h = f.
     """
     if not f.is_endomorphism():
         raise ValueError("simplification applies to endomorphisms")
     if f.is_erasing():
         raise ValueError("code reduction requires a non-erasing morphism")
-    images = [f.image(a) for a in range(len(f.source))]
-    if len(set(images)) != len(images):
+    if len(set(f.images)) != len(f.images):
         raise ValueError("code reduction requires pairwise distinct images")
-    basis = _reduce_to_code(images)
-    if basis == set(images):
+    if (step := _code_step(f)) is None:
         raise ValueError("image set is already a code; nothing to reduce")
-
-    ordered = _sorted_words(basis)
-    fresh = Alphabet(tuple(f"x{i}" for i in range(len(ordered))))
-    k = Morphism(fresh, f.source, tuple(ordered))
-    h_images = []
-    for a in range(len(f.source)):
-        enc = _factorization(f.image(a), ordered)
-        if enc is None:
-            raise SimplificationError("image not factorizable over the reduced code")
-        h_images.append(tuple(enc))
-    h = Morphism(f.source, fresh, tuple(h_images))
-    return _checked_step("code-reduction", f, h, k)
+    return step
 
 
 @dataclass(frozen=True)
@@ -224,21 +229,24 @@ def injective_simplification(system: D0LSystem) -> SimplificationChain:
 
     Steps are chosen in priority order: erasing elimination, duplicate merge,
     code reduction.  Each shrinks the alphabet, so at most #A steps occur.
-    An already-injective system yields an empty chain.
+    A non-erasing morphism with distinct images is injective exactly when
+    its images form a code, so the free-hull loop of code reduction is also
+    the injectivity test: the chain ends when it finds no relation.  An
+    already-injective system yields an empty chain.
     """
     if not system.is_reduced():
         raise ValueError("injective_simplification expects a reduced system")
     systems = [system]
     steps: list[SimplificationStep] = []
     current = system
-    while injectivity_witness(current.morphism) is not None:
+    while True:
         f = current.morphism
         if f.is_erasing():
             step = eliminate_erasing(f)
         elif len(set(f.images)) != len(f.images):
             step = merge_duplicate_images(f)
-        else:
-            step = code_reduce(f)
+        elif (step := _code_step(f)) is None:
+            break
         new_axiom = step.h(current.axiom)
         if not new_axiom:
             raise SimplificationError(

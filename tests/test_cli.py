@@ -175,6 +175,15 @@ def test_run_missing_file(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_run_non_utf8_file(tmp_path, capsys):
+    path = tmp_path / "latin1.dol"
+    path.write_bytes(b"alphabet: a\xff\naxiom: a\na -> a\n")
+    rc = run(["analyze", str(path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_run_stdin(monkeypatch, capsys):
     import io
 

@@ -138,6 +138,32 @@ def test_graph_two_cycle_of_bounded_classes():
     assert graph.edges == {one: two, two: one}
 
 
+def test_graph_reuses_the_reports_period_words(monkeypatch, system_g, doubling):
+    import dolrep.engine
+    import dolrep.pushy
+    import dolrep.unbounded
+
+    two_cycle = make_system({"a": "bb", "b": "aa"}, "aa")
+    bounded_two_cycle = make_system({"a": "b", "b": "a1", "1": "2", "2": "1"}, "a")
+    systems = (system_g, doubling, two_cycle, bounded_two_cycle)
+    reports = [analyze(system) for system in systems]
+
+    def harvest_again(system):
+        raise AssertionError("periodic_factor_graph harvested the period words again")
+
+    for module in (dolrep.engine, dolrep.pushy):
+        monkeypatch.setattr(module, "bounded_periodic_classes", harvest_again)
+    for module in (dolrep.engine, dolrep.unbounded):
+        monkeypatch.setattr(module, "unbounded_periodic_classes", harvest_again)
+    graphs = [periodic_factor_graph(report).edges for report in reports]
+    g, (a, b), (one, two) = (
+        system_g.alphabet.word("1122"),
+        (two_cycle.alphabet.word("a"), two_cycle.alphabet.word("b")),
+        (bounded_two_cycle.alphabet.word("1"), bounded_two_cycle.alphabet.word("2")),
+    )
+    assert graphs == [{g: g}, {(0,): (0,)}, {a: b, b: a}, {one: two, two: one}]
+
+
 def test_graph_empty_for_degenerate():
     graph = periodic_factor_graph(analyze(make_system({"a": ""}, "a")))
     assert graph.vertices == ()

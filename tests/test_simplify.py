@@ -254,6 +254,53 @@ def test_injective_simplification_example1(example1_f):
     assert is_injective(chain.final_system.morphism)
 
 
+def test_chain_runs_sardinas_patterson_once_per_round(monkeypatch, system_g, example1_f):
+    import dolrep.morphism
+    import dolrep.simplify
+
+    # sizes of the word sets of every code_witness run, from either module
+    calls = []
+    original = dolrep.morphism.code_witness
+
+    def counted(words):
+        calls.append(len(words))
+        return original(words)
+
+    for module in (dolrep.morphism, dolrep.simplify):
+        monkeypatch.setattr(module, "code_witness", counted)
+    injective_simplification(system_g)
+    assert calls == [3]  # G's images form a code: one run finds no relation
+
+    # Example 1, images X = {aca, adc, acab, badc}.  Round 1: the relation
+    # aca.badc = acab.adc has heads aca and acab; acab does not factorize
+    # over the rest, so it is stripped to b.  Round 2: badc = b.adc, so badc
+    # is dropped.  A third run finds Y = {b, aca, adc} a code, and one run
+    # on the 3-letter final system finds its images a code too.
+    calls.clear()
+    chain = injective_simplification(example1_f)
+    assert [step.kind for step in chain.steps] == ["code-reduction"]
+    assert calls == [4, 4, 3, 3]  # 2 rounds + 1 + 1
+
+
+def test_analyze_never_runs_injectivity_witness(monkeypatch, example1_f):
+    import dolrep.engine
+    import dolrep.morphism
+    import dolrep.simplify
+
+    def forbidden(phi):
+        raise AssertionError("injectivity_witness called during analyze")
+
+    for module in (dolrep.morphism, dolrep.simplify, dolrep.engine):
+        if hasattr(module, "injectivity_witness"):
+            monkeypatch.setattr(module, "injectivity_witness", forbidden)
+    systems = [example1_f, make_system({"a": "ab", "b": "ab"}, "a")]
+    systems += [random_system(random.Random(seed), max_letters=8, min_letters=4) for seed in range(40)]
+    kinds = set()
+    for system in systems:
+        kinds.update(step.kind for step in analyze(system).chain.steps)
+    assert kinds == {"erasing-elimination", "duplicate-merge", "code-reduction"}
+
+
 def test_injective_simplification_empty_chain(system_g):
     chain = injective_simplification(system_g)
     assert chain.steps == ()
