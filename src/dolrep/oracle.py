@@ -8,14 +8,29 @@ a class is observed when some primitive word reaches the power threshold
 and its maximal power still grows between half depth and full depth, which
 separates unbounded repetition from static high powers.
 
+The iterates come from per-letter levels (`_iterate_strings`): the budget
+is checked on every depth from letter counts before any string is built,
+then level k holds phi^k(b) for each letter b that occurs in some phi^j(w)
+with j <= depth - k, level k + 1 joins level-k strings along the images,
+and phi^k(w) joins level k over the axiom.  Every string built is a factor
+of an iterate within budget, a level holds at most (depth + 1) * budget
+letters, and building costs string joins, not a lookup per letter.
+
 The maximal powers behind `observed_classes` come from a vectorised scan
 (`_accumulate_run_powers`): for each period l <= max_len, numpy finds the
-maximal l-periodic stretches of an iterate, lists every (unit, power) pair
+maximal l-periodic stretches of a text, lists every (unit, power) pair
 they hold and groups the pairs by unit with an exact sort, so Python code
 runs once per distinct unit, not per stretch or position.  Finding the
-stretches costs O(max_len * n) numpy work per iterate of n letters, and
+stretches costs O(max_len * n) numpy work per text of n letters, and
 grouping O(l) per pair of period l; the scan holds the letters at one byte
 each when every id is below 256, and groups pairs in fixed-size chunks.
+`observed_classes` scans batches of consecutive iterates joined by a
+sentinel that is no letter id, one scan per batch, dropping the units that
+hold the sentinel (a sentinel-free unit's stretch cannot reach one, so the
+powers are those of a per-iterate scan).  A batch is never longer than the
+longest iterate, so no scan array is either, and the fixed numpy cost per
+scan is paid per batch, not per iterate: the scan's cost follows the total
+length of the iterates.
 """
 
 from __future__ import annotations
@@ -49,29 +64,41 @@ class OracleParams:
 def _iterate_strings(system: D0LSystem, depth: int, cap: int) -> list[str]:
     """phi^0(w) .. phi^depth(w) encoded with chr(letter id).
 
-    The length of the next iterate is found from the letter counts of the
-    current one before it is built, so an iterate over the budget is never
-    materialised.
+    The lengths of all the iterates come first, from letter-count vectors,
+    so the first one over the budget raises before any string is built.
+    The iterates are then built from per-letter levels: level k maps each
+    letter b that occurs in some phi^j(w) with j <= depth - k to phi^k(b),
+    level k + 1 joins the level-k strings along each image (every letter of
+    such an image occurs in phi^(j+1)(w)), and phi^k(w) is the join of level
+    k over the axiom.  Every string built is thus a factor of an iterate
+    within budget: a letter first reached at step j is expanded only up to
+    phi^(depth-j), and one never reached is never expanded.  The work is
+    joins, about the letters of each level, instead of one dict lookup per
+    letter of each iterate.  Memory: the letters of phi^j(w) hold at most
+    budget letters between them at every level, so a level holds at most
+    (depth + 1) * budget letters, and two levels are alive at a time.
     """
     images = system.morphism.images
-    table = {a: "".join(map(chr, img)) for a, img in enumerate(images)}
     counts = [0] * len(images)
     for a in system.axiom:
         counts[a] += 1
-    text = "".join(map(chr, system.axiom))
-    out = [text]
+    reach = [set(system.axiom)]  # reach[j]: the letters of phi^0(w) .. phi^j(w)
     for _ in range(depth):
         length = sum(c * len(img) for c, img in zip(counts, images))
         if length > cap:
             raise OracleResourceError(f"iterate length {length} exceeds the {cap}-letter budget")
-        text = text.translate(table)
-        out.append(text)
         nxt = [0] * len(images)
         for a, c in enumerate(counts):
             if c:
                 for b in images[a]:
                     nxt[b] += c
         counts = nxt
+        reach.append(reach[-1].union(b for b, c in enumerate(counts) if c))
+    level = {b: chr(b) for b in reach[depth]}
+    out = ["".join(map(level.__getitem__, system.axiom))]
+    for k in range(1, depth + 1):
+        level = {b: "".join(map(level.__getitem__, images[b])) for b in reach[depth - k]}
+        out.append("".join(map(level.__getitem__, system.axiom)))
     return out
 
 
@@ -208,33 +235,74 @@ def _keep_highest(
             powers[unit] = m
 
 
+def _batches(texts: list[str], sentinel: str, bound: int):
+    """Consecutive non-empty texts joined by sentinel, no join longer than
+    bound letters unless one text is, each with its longest text's length.
+
+    Empties texts, and holds no text once it is joined, so the batches take
+    the place of the texts in memory rather than adding to them.
+    """
+    stack = [text for text in reversed(texts) if text]
+    texts.clear()
+    while stack:
+        group = [stack.pop()]
+        size = len(group[0])
+        while stack and size + 1 + len(stack[-1]) <= bound:
+            group.append(stack.pop())
+            size += 1 + len(group[-1])
+        batch, longest = sentinel.join(group), max(map(len, group))
+        del group
+        yield batch, longest
+
+
 def observed_classes(system: D0LSystem, params: OracleParams = OracleParams()) -> set[Word]:
     """Canonical primitive words whose powers keep growing at desk scale.
 
     A word qualifies when its maximal power over iterates up to `depth`
     reaches `power_threshold` and strictly exceeds the maximal power seen up
     to depth ceil(depth/2); the growth condition filters bounded high powers.
+
+    The iterates are scanned in batches, iterates 0..ceil(depth/2) first and
+    then the rest, so the half-depth powers are a snapshot between the two.
+    A batch joins consecutive non-empty iterates with the sentinel
+    chr(|A|), which is no letter id, and is never longer than the longest
+    iterate (one iterate alone may fill it), so no scan array is longer than
+    that iterate; periods stop at the batch's longest iterate.  Units that
+    hold the sentinel are dropped.  Every other unit u keeps its power: a
+    maximal l-periodic stretch repeats the letters of any l consecutive
+    letters of it, so the stretch of a sentinel-free u holds no sentinel and
+    lies inside one iterate, where the per-iterate scan finds the same
+    stretch.
+
+    Cost: the scans do O(max_len * n) numpy work over the n letters of all
+    the iterates, plus a fixed cost per (batch, period) instead of per
+    (iterate, period); the geometrically growing iterates of most systems
+    fit in a few batches.  Memory: the iterates, of which each batch takes
+    the place once joined, and the arrays of one scan, none longer than the
+    longest iterate.
     """
     texts = _iterate_strings(system, params.depth, params.max_word_len)
     half = -(-params.depth // 2)
+    sentinel = chr(len(system.alphabet))
+    bound = max(map(len, texts))
+    late = texts[half + 1 :]
+    del texts[half + 1 :]
     powers: dict[str, int] = {}
-    half_powers: dict[str, int] = {}
-    for n, text in enumerate(texts):
-        _accumulate_run_powers(text, params.max_len, powers)
-        if n == half:
-            half_powers = dict(powers)
+    for batch, longest in _batches(texts, sentinel, bound):
+        _accumulate_run_powers(batch, min(params.max_len, longest), powers)
+    half_powers = dict(powers)
+    for batch, longest in _batches(late, sentinel, bound):
+        _accumulate_run_powers(batch, min(params.max_len, longest), powers)
 
     out: set[Word] = set()
     for unit, power in powers.items():
-        if power < params.power_threshold:
+        if power < params.power_threshold or sentinel in unit:
             continue
         word = _str_word(unit)
         if not is_primitive(word):
             continue
-        earlier = half_powers.get(unit)
-        if earlier is None:
-            # Power below 2 at half depth: 1 if the word occurred at all.
-            earlier = 1 if any(unit in t for t in texts[: half + 1]) else 0
-        if power > earlier:
+        # A unit missing at half depth had power at most 1 there, which every
+        # power >= power_threshold >= 2 exceeds.
+        if power > half_powers.get(unit, 1):
             out.add(canonical_rotation(primitive_root(word)))
     return out

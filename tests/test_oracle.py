@@ -5,6 +5,9 @@ import tracemalloc
 import pytest
 
 from dolrep import (
+    Alphabet,
+    D0LSystem,
+    Morphism,
     OracleParams,
     OracleResourceError,
     factors_up_to,
@@ -13,7 +16,8 @@ from dolrep import (
     observed_classes,
 )
 from dolrep import oracle
-from dolrep.oracle import _accumulate_run_powers
+from dolrep.oracle import _accumulate_run_powers, _iterate_strings
+from dolrep.words import canonical_rotation, is_primitive, primitive_root
 
 
 def test_factors_small_depth(system_g):
@@ -197,3 +201,159 @@ def test_run_powers_accept_surrogate_letter_ids():
     powers = {}
     _accumulate_run_powers(chr(0xD800) * 4, 2, powers)
     assert powers == {chr(0xD800): 4, chr(0xD800) * 2: 2}
+
+
+def _system(images, axiom) -> D0LSystem:
+    alphabet = Alphabet(tuple(f"x{i}" for i in range(len(images))))
+    return D0LSystem(Morphism(alphabet, alphabet, tuple(map(tuple, images))), tuple(axiom))
+
+
+def _reference_iterates(system: D0LSystem, depth: int, cap: int) -> list[str]:
+    """phi^0(w) .. phi^depth(w), one str.translate per step, each length
+    checked against the budget on the iterate before it is built."""
+    table = {a: "".join(map(chr, img)) for a, img in enumerate(system.morphism.images)}
+    text = "".join(map(chr, system.axiom))
+    out = [text]
+    for _ in range(depth):
+        length = sum(len(table[ord(c)]) for c in text)
+        if length > cap:
+            raise OracleResourceError(f"iterate length {length} exceeds the {cap}-letter budget")
+        text = text.translate(table)
+        out.append(text)
+    return out
+
+
+def _random_iterate_system(rng: random.Random) -> D0LSystem:
+    """Seeded systems with erasing images and unreachable letters; in the
+    chain-shaped ones each image of the chain names the next letter, so the
+    last one may first be reached at the last step.  The 300-letter ones use
+    ids from 0 or from 295 on."""
+    n = rng.choice((1, 2, 3, 5, 8, 300))
+    low = rng.choice((0, n - 5)) if n == 300 else 0
+    active = range(low, n)
+    images = [[rng.choice(active) for _ in range(rng.randint(0, 3))] for _ in range(n)]
+    if rng.random() < 0.4:
+        for i in active[:-1]:
+            images[i].insert(rng.randint(0, len(images[i])), i + 1)
+        return _system(images, [low])
+    return _system(images, [rng.choice(active) for _ in range(rng.randint(1, 3))])
+
+
+def test_iterate_strings_against_translate_reference():
+    rng = random.Random(17)
+    seen = {"empty": 0, "unreached": 0, "last_step": 0, "wide": 0, "budget": 0}
+    for _ in range(1200):
+        system = _random_iterate_system(rng)
+        depth, cap = rng.randint(1, 9), rng.choice((20, 500, 10**6))
+        try:
+            expected = _reference_iterates(system, depth, cap)
+        except OracleResourceError as exc:
+            with pytest.raises(OracleResourceError) as raised:
+                _iterate_strings(system, depth, cap)
+            assert str(raised.value) == str(exc)
+            seen["budget"] += 1
+            continue
+        assert _iterate_strings(system, depth, cap) == expected, (system, depth)
+        letters = [set(text) for text in expected]
+        seen["empty"] += "" in expected
+        seen["unreached"] += len(set().union(*letters)) < len(system.alphabet)
+        seen["last_step"] += bool(letters[-1] - set().union(*letters[:-1]))
+        seen["wide"] += max(map(max, filter(None, expected))) >= chr(256)
+    assert min(seen.values()) >= 50, seen  # every case was exercised
+
+
+@pytest.mark.parametrize("chain", [0, 6])
+def test_fast_letter_far_from_axiom_builds_nothing_big(chain):
+    # Letters a, b, c1..c6: a -> a, b -> b^10, never reached from the axiom a;
+    # or a -> a c1, c_i -> c_(i+1), c6 -> b, so b is first reached at step
+    # depth - 1.  The iterates stay tiny; expanding b at every level would
+    # build b^(10^8), a 100 MB string.
+    depth = 8
+    images = [[0, 2] if chain else [0], [1] * 10]
+    images += [[i + 2] if i < chain else [1] for i in range(1, chain + 1)]
+    system = _system(images, [0])
+    tracemalloc.start()
+    try:
+        observed_classes(system, OracleParams(depth=depth, max_len=12, power_threshold=2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+    assert _iterate_strings(system, depth, 10**6)[-1].count(chr(1)) == (11 if chain else 0)
+
+
+def _reference_observed(system: D0LSystem, params: OracleParams) -> set:
+    """observed_classes with one run-power scan per iterate."""
+    texts = _iterate_strings(system, params.depth, params.max_word_len)
+    half = -(-params.depth // 2)
+    powers, half_powers = {}, {}
+    for n, text in enumerate(texts):
+        _accumulate_run_powers(text, params.max_len, powers)
+        if n == half:
+            half_powers = dict(powers)
+    out = set()
+    for unit, power in powers.items():
+        word = tuple(map(ord, unit))
+        if power < params.power_threshold or not is_primitive(word):
+            continue
+        earlier = half_powers.get(unit)
+        if earlier is None:
+            earlier = 1 if any(unit in t for t in texts[: half + 1]) else 0
+        if power > earlier:
+            out.add(canonical_rotation(primitive_root(word)))
+    return out
+
+
+def test_batched_scan_against_per_iterate_scan(monkeypatch):
+    scans = []
+
+    def scan(text, max_len, powers):
+        scans.append(len(text))
+        _accumulate_run_powers(text, max_len, powers)
+
+    monkeypatch.setattr(oracle, "_accumulate_run_powers", scan)
+    rng = random.Random(23)
+    seen = {"empty": 0, "split": 0, "wide": 0, "classes": 0, "long_max_len": 0, "late_repeat": 0}
+    for _ in range(800):
+        # letters near the top of the alphabet, so the sentinel chr(n) sits
+        # just past them, on either side of the one-byte encoding
+        n = rng.choice((12, 255, 256, 257))
+        if rng.random() < 0.4:
+            # the axiom c_0 e^s, e -> (empty), a chain c_0 -> .. -> c_(k-1) ->
+            # d e^r, and d -> d: short iterates d follow a longer one late, so
+            # they share its batch and repeat units that hold the sentinel
+            d, e, k = n - 1, n - 2, rng.randint(1, 8)
+            images = [[a + 1] for a in range(n)]
+            images[d], images[e], images[e - 1] = [d], [], [d] + [e] * rng.randint(1, 3)
+            axiom = [e - k] + [e] * rng.randint(0, 9)
+        else:
+            active = sorted({rng.randrange(n), n - 1, n - 2, n - 3})
+            images = [[rng.choice(active) for _ in range(rng.randint(0, 3))] for _ in range(n)]
+            axiom = [rng.choice(active) for _ in range(rng.randint(1, 3))]
+        system = _system(images, axiom)
+        params = OracleParams(
+            depth=rng.randint(1, 12),
+            max_len=rng.choice((1, 8, 12, 500)),
+            power_threshold=rng.choice((2, 3)),
+            max_word_len=400,
+        )
+        try:
+            texts = _iterate_strings(system, params.depth, params.max_word_len)
+        except OracleResourceError:
+            continue
+        expected = _reference_observed(system, params)
+        scans.clear()
+        assert observed_classes(system, params) == expected, (system, params)
+        assert max(scans) <= max(map(len, texts))  # no scan outgrows an iterate
+        half = -(-params.depth // 2)
+        late = [len(t) for t in texts[half + 1 :] if t]
+        seen["empty"] += "" in texts
+        seen["split"] += sum(late) + len(late) - 1 > max(map(len, texts))
+        seen["wide"] += n > 255
+        seen["classes"] += bool(expected)
+        seen["long_max_len"] += params.max_len > max(map(len, texts))
+        seen["late_repeat"] += any(
+            len(t) > len(u) > 0 and u == v
+            for t, u, v in zip(texts[half + 1 :], texts[half + 2 :], texts[half + 3 :])
+        )
+    assert min(seen.values()) >= 30, seen
