@@ -10,8 +10,7 @@ via the Sardinas-Patterson code test.
 
 from __future__ import annotations
 
-from collections import deque
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -352,18 +351,242 @@ def functional_cycles(vertices: Iterable[int], target: Callable[[int], int]) -> 
     return out
 
 
-def _common_prefix_end(x: Word, y: Word, lo: int, hi: int) -> int:
-    """The largest p <= hi with x[lo:p] == y[lo:p].
+def _text(word: Word) -> str:
+    """The word as a string of one character per letter (``chr`` of its
+    id), so that the index slices, compares and hashes it in C."""
+    return "".join(map(chr, word))
 
-    A binary search over slice equality, so the letters are compared in C.
+
+class CodewordIndex:
+    """A set of codewords as a compressed trie, edited in place.
+
+    Each chain of single-child nodes of the trie is one edge, labelled by a
+    factor of a codeword, and inserting a word adds a leaf and splits at
+    most one edge, so n insertions make at most 2n + 1 nodes.  Words get
+    increasing indices as they are inserted.  Each node holds the index of
+    the codeword ending there and the increasing indices of the codewords
+    through it; these lists total at most the summed codeword length.
+    Deleting a word clears its end mark and its entries in those lists, and
+    unlinks the highest node on its path that no codeword passes through
+    any more, so walks never enter a branch without codewords.  A later
+    insertion of the same word gets a new index.
+
+    Words are held as strings of one character per letter, so a walk of a
+    word takes one Python step per node on its path and compares each edge
+    with ``str.startswith``, in C and without a copy; codewords off that
+    path cost it nothing.  ``relations`` is the Sardinas-Patterson search
+    on the index, ``factorization`` the product test.
     """
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if x[lo:mid] == y[lo:mid]:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+
+    def __init__(self, codewords: Iterable[Word]) -> None:
+        self.words: list[Word] = []  # every word inserted, by index
+        self.texts: list[str] = []  # the same words as strings
+        # Node 0 is the root.  edges[node] labels the edge into the node, and
+        # children maps the first character of an edge to the node it enters.
+        self.children: list[dict[str, int]] = [{}]
+        self.edges = [""]
+        self.ends = [-1]  # index of the codeword ending at each node, or -1
+        self.through: list[list[int]] = [[]]
+        self.node_of: list[int] = []  # node at which each inserted word ends
+        for y in codewords:
+            self.insert(y)
+
+    def insert(self, word: Word) -> int:
+        """Add a non-empty word that is not in the set; return its index."""
+        children, edges, ends, through = self.children, self.edges, self.ends, self.through
+        j, n = len(self.texts), len(word)
+        y = _text(word)
+        self.words.append(word)
+        self.texts.append(y)
+        node = d = 0
+        while d < n:
+            child = children[node].get(y[d])
+            if child is None:
+                children[node][y[d]] = node = len(ends)
+                children.append({})
+                edges.append(y[d:])
+                ends.append(-1)
+                through.append([j])
+                break
+            edge = edges[child]
+            if not y.startswith(edge, d):  # split the edge after its common prefix with y
+                lo, hi = 1, min(len(edge), n - d)
+                while lo < hi:
+                    mid = (lo + hi + 1) // 2
+                    if y.startswith(edge[:mid], d):
+                        lo = mid
+                    else:
+                        hi = mid - 1
+                children.append({edge[lo]: child})
+                edges.append(edge[:lo])
+                edges[child] = edge[lo:]
+                ends.append(-1)
+                through.append(through[child][:])
+                child = children[node][y[d]] = len(ends) - 1
+                edge = edges[child]
+            node, d = child, d + len(edge)
+            through[node].append(j)
+        ends[node] = j
+        self.node_of.append(node)
+        return j
+
+    def delete(self, j: int) -> None:
+        """Remove the codeword with index j from the set."""
+        y, children, edges, through = self.texts[j], self.children, self.edges, self.through
+        node = d = 0
+        while d < len(y):
+            parent, key = node, y[d]
+            node = children[parent][key]
+            d += len(edges[node])
+            through[node].remove(j)
+            if not through[node]:  # no codeword is left at or below the node
+                del children[parent][key]
+                break
+        self.ends[self.node_of[j]] = -1
+
+    def is_live(self, j: int) -> bool:
+        """Whether the word with index j is in the set."""
+        return self.ends[self.node_of[j]] == j
+
+    def factorization(self, word: Word) -> list[int] | None:
+        """Indices of codewords whose product is word, or None if there are none.
+
+        A walk from each position that a product of codewords reaches marks
+        the positions that one more codeword reaches, so the cost is one
+        walk per reached position.  The product found is the unique one when
+        the set is a code.
+        """
+        children, edges, ends = self.children, self.edges, self.ends
+        y = _text(word)
+        n = len(y)
+        last = [-1] * (n + 1)  # a codeword ending a product at each reached position
+        for i in range(n):
+            if i and last[i] < 0:
+                continue
+            node, d = children[0].get(y[i]), i
+            while node is not None and y.startswith(edges[node], d):
+                d += len(edges[node])
+                if ends[node] >= 0 and last[d] < 0:
+                    last[d] = ends[node]
+                if d == n:
+                    break
+                node = children[node].get(y[d])
+            if last[n] >= 0:
+                break
+        if last[n] < 0:
+            return None
+        out: list[int] = []
+        while n:
+            out.append(last[n])
+            n -= len(self.texts[last[n]])
+        return out[::-1]
+
+    def relations(self) -> Iterator[tuple[tuple, int]]:
+        """Breadth-first Sardinas-Patterson search for relations between codewords.
+
+        States are dangling suffixes s with concat(ahead) = concat(behind) s
+        for two codeword sequences that start with different codewords.  An
+        initial state is an overhang y = x s, x a proper prefix of the
+        codeword y, with ahead = [y] and behind = [x]; a state whose s is a
+        codeword completes a relation.  A suffix already met is not met
+        again.  One walk of s finds the codeword equal to s, the codewords
+        that are proper prefixes of s and those that properly extend it.
+        They are taken in increasing index, as a scan of every codeword
+        would meet them.
+
+        A state holds its suffix, its parent state and the codeword that
+        extended the parent, so its size does not grow with its depth;
+        ``relation_heads`` and ``_witness`` read the rest off the parent
+        pointers.  There is at most one state per distinct suffix of a
+        codeword.
+
+        Yields each completed relation as (state, index of the codeword
+        equal to its suffix), in breadth-first order, and stops at the end
+        of the first level that completes one; the states left in that
+        level are only tested for completion.  The set must not change
+        while the search runs.
+        """
+        texts, children, edges, ends, through = (
+            self.texts, self.children, self.edges, self.ends, self.through
+        )
+        seen: set[str] = set()
+        # state: (suffix s, parent, codeword appended to behind, whether ahead
+        # and behind then swap); an initial state is (s, None, y, x).
+        level: list[tuple] = []
+        for i, x in enumerate(texts):
+            node = self.node_of[i]
+            if ends[node] != i:
+                continue
+            for j in through[node]:
+                if j != i:
+                    s = texts[j][len(x) :]
+                    if s not in seen:
+                        seen.add(s)
+                        level.append((s, None, j, i))
+        found = False
+        while level and not found:
+            deeper: list[tuple] = []
+            for state in level:
+                s = state[0]
+                matches: list[int] = []  # codewords that are proper prefixes or extensions of s
+                node = d = 0
+                while d < len(s):
+                    child = children[node].get(s[d])
+                    if child is None:
+                        break
+                    edge = edges[child]
+                    if not s.startswith(edge, d):
+                        if d + len(edge) > len(s) and edge.startswith(s[d:]):  # s ends inside it
+                            matches.extend(through[child])
+                        break
+                    node, d = child, d + len(edge)
+                    if d < len(s) and ends[node] >= 0:
+                        matches.append(ends[node])
+                else:
+                    if ends[node] >= 0:
+                        found = True
+                        yield state, ends[node]
+                        continue
+                    matches.extend(through[node])
+                if found:
+                    continue
+                for j in sorted(matches):
+                    y = texts[j]
+                    if len(y) > len(s):
+                        t = y[len(s) :]
+                        if t not in seen:
+                            seen.add(t)
+                            deeper.append((t, state, j, True))
+                    else:
+                        t = s[len(y) :]
+                        if t not in seen:
+                            seen.add(t)
+                            deeper.append((t, state, j, False))
+            level = deeper
+
+
+def relation_heads(relation: tuple[tuple, int]) -> tuple[int, int]:
+    """Indices (u, v) of the head codewords of a relation from
+    ``CodewordIndex.relations``: u is a proper prefix of v."""
+    state = relation[0]
+    while state[1] is not None:
+        state = state[1]
+    return state[3], state[2]
+
+
+def _witness(relation: tuple[tuple, int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The two codeword index sequences of a relation, rebuilt from its state's ancestors."""
+    state, last = relation
+    steps = []
+    while state[1] is not None:
+        steps.append(state[2:])
+        state = state[1]
+    ahead, behind = [state[2]], [state[3]]
+    for j, swap in reversed(steps):
+        behind.append(j)
+        if swap:
+            ahead, behind = behind, ahead
+    return tuple(ahead), tuple(behind + [last])
 
 
 def code_witness(codewords: Sequence[Word]) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
@@ -371,112 +594,28 @@ def code_witness(codewords: Sequence[Word]) -> tuple[tuple[int, ...], tuple[int,
 
     Given pairwise-distinct non-empty words, return None when they form a
     uniquely decodable code; otherwise return two distinct index sequences
-    whose concatenations coincide.  States are dangling suffixes; each state
-    remembers the two codeword sequences that produced it, so the first
-    completed state yields a shortest (fewest-codewords) witness.
+    whose concatenations coincide.  This is the first relation of
+    ``CodewordIndex.relations`` on the words, indexed in the given order,
+    with its two sequences rebuilt from the parent pointers.  A
+    breadth-first search finds a shortest (fewest-codewords) witness, and
+    taking the matching codewords in increasing index makes it the one a
+    search that scans every codeword for each state finds.
 
     The two sequences start with different codewords, and the shorter of
     those two heads is a proper prefix of the longer: every state descends
     from an initial overhang y = x s with x a proper prefix of y.
 
-    The codewords are indexed once by a trie over their letters in which
-    each chain of single-child nodes is one edge, labelled by a slice of a
-    codeword, so n codewords give at most 2n + 1 nodes.  Each node holds the
-    index of the codeword ending there and the increasing indices of the
-    codewords through it; these lists total at most the summed codeword
-    length.  One walk of an overhang s finds the codeword equal to s, the
-    codewords that are proper prefixes of s and those that properly extend
-    it.  They are taken in increasing index, as a scan of every codeword
-    meets them, so the queue and the witness are those of that scan.  A walk
-    takes one Python step per node on its path and compares O(|s|) letters
-    by slicing; codewords off that path cost a state nothing.
+    Building the index costs one trie walk per word.  Each state costs one
+    walk of its suffix, one Python step per trie node on the path, plus the
+    codewords that match it.
     """
     words = [tuple(w) for w in codewords]
     if any(not w for w in words):
         raise ValueError("codewords must be non-empty")
     if len(set(words)) != len(words):
         raise ValueError("codewords must be pairwise distinct")
-
-    # Node 0 is the root.  A node at depth p whose parent is at depth d is
-    # reached by the edge words[w][d:p], where labels[node] = (w, p).
-    children: list[dict[int, int]] = [{}]
-    labels = [(0, 0)]
-    ends = [-1]  # index of the codeword ending at each node, or -1
-    for j, y in enumerate(words):
-        node = d = 0
-        while d < len(y):
-            child = children[node].get(y[d])
-            if child is None:
-                child = children[node][y[d]] = len(ends)
-                children.append({})
-                labels.append((j, len(y)))
-                ends.append(-1)
-                node, d = child, len(y)
-                continue
-            w, depth = labels[child]
-            p = _common_prefix_end(words[w], y, d + 1, min(depth, len(y)))
-            if p < depth:  # split the edge at depth p
-                children.append({words[w][p]: child})
-                child = children[node][y[d]] = len(ends)
-                labels.append((w, p))
-                ends.append(-1)
-            node, d = child, p
-        ends[node] = j
-    through: list[list[int]] = [[] for _ in ends]
-    word_node = []
-    for j, y in enumerate(words):
-        node = 0
-        while labels[node][1] < len(y):
-            node = children[node][y[labels[node][1]]]
-            through[node].append(j)
-        word_node.append(node)
-
-    # state: (overhang s, ahead, behind) with concat(ahead) = concat(behind) + s
-    queue: deque[tuple[Word, list[int], list[int]]] = deque()
-    seen: set[Word] = set()
-    for i, x in enumerate(words):
-        for j in through[word_node[i]]:
-            if j != i:
-                s = words[j][len(x) :]
-                if s not in seen:
-                    seen.add(s)
-                    queue.append((s, [j], [i]))
-    while queue:
-        s, ahead, behind = queue.popleft()
-        matches: list[int] = []  # codewords that are proper prefixes or extensions of s
-        node = d = 0
-        while d < len(s):
-            child = children[node].get(s[d])
-            if child is None:
-                break
-            w, depth = labels[child]
-            # the first letter of the edge matched as the key of child
-            if depth > len(s):  # s ends inside this edge
-                if s[d + 1 :] == words[w][d + 1 : len(s)]:
-                    matches.extend(through[child])
-                break
-            if depth > d + 1 and s[d + 1 : depth] != words[w][d + 1 : depth]:
-                break
-            node, d = child, depth
-            if d < len(s) and ends[node] >= 0:
-                matches.append(ends[node])
-        else:
-            if ends[node] >= 0:
-                return tuple(ahead), tuple(behind + [ends[node]])
-            matches.extend(through[node])
-        for j in sorted(matches):
-            y = words[j]
-            if len(y) > len(s):
-                t = y[len(s) :]
-                if t not in seen:
-                    seen.add(t)
-                    queue.append((t, behind + [j], ahead))
-            else:
-                t = s[len(y) :]
-                if t not in seen:
-                    seen.add(t)
-                    queue.append((t, ahead, behind + [j]))
-    return None
+    relation = next(CodewordIndex(words).relations(), None)
+    return None if relation is None else _witness(relation)
 
 
 def injectivity_witness(phi: Morphism) -> tuple[Word, Word] | None:

@@ -15,7 +15,7 @@ from dolrep import (
     make_system,
     mortal_letters,
 )
-from dolrep.morphism import code_witness
+from dolrep.morphism import CodewordIndex, _witness, code_witness, relation_heads
 from corpus_util import brute_injectivity_witness, random_system, simulated_bounded
 
 
@@ -258,3 +258,68 @@ def test_code_witness_against_all_pairs_search():
             long_non_codes += max(map(len, words)) > 1000
     assert non_codes >= 500
     assert long_non_codes >= 50, long_non_codes
+
+
+def test_relations_stop_at_first_completing_level():
+    # Example 1's relation aca.badc = acab.adc completes at the second level;
+    # e.f = ef completes at the first, so the search ends before the second.
+    alphabet = Alphabet("abcdef")
+    words = [alphabet.word(w) for w in ("aca", "adc", "acab", "badc", "e", "ef", "f")]
+    index = CodewordIndex(words)
+    assert [relation_heads(r) for r in index.relations()] == [(4, 5)]
+    index.delete(5)
+    assert [relation_heads(r) for r in index.relations()] == [(0, 2)]
+
+
+def _products(word, pieces):
+    """Every way to write word as a product of pieces, as lists of pieces."""
+    if not word:
+        return [[]]
+    return [
+        [p] + rest
+        for p in pieces
+        if word[: len(p)] == p
+        for rest in _products(word[len(p) :], pieces)
+    ]
+
+
+def test_codeword_index_edits_against_rebuilt_sets():
+    # Random insertions and deletions, then every query of the edited index
+    # against the live set: membership, products, and the first relation,
+    # which must be the all-pairs search's on the live words in index order.
+    rng = random.Random(6161)
+    relations = reinserted = 0
+    for _ in range(400):
+        letters = rng.randint(1, 3)
+        index = CodewordIndex([])
+        live: dict[int, tuple] = {}
+        for _ in range(rng.randint(1, 14)):
+            if live and rng.random() < 0.35:
+                j = rng.choice(sorted(live))
+                index.delete(j)
+                del live[j]
+                continue
+            word = tuple(rng.randrange(letters) for _ in range(rng.randint(1, 5)))
+            if word not in live.values():
+                reinserted += word in index.words
+                live[index.insert(word)] = word
+        assert [j for j in range(len(index.words)) if index.is_live(j)] == sorted(live)
+        pieces = list(live.values())
+        for _ in range(5):
+            word = tuple(rng.randrange(letters) for _ in range(rng.randint(1, 8)))
+            products = _products(word, pieces)
+            found = index.factorization(word)
+            if found is None:
+                assert not products, (word, pieces)
+            else:
+                assert [live[j] for j in found] in products
+        order = sorted(live)
+        relation = next(index.relations(), None)
+        expected = _all_pairs_code_witness([live[j] for j in order])
+        if relation is None:
+            assert expected is None
+        else:
+            ahead, behind = _witness(relation)
+            assert (tuple(map(order.index, ahead)), tuple(map(order.index, behind))) == expected
+            relations += 1
+    assert relations >= 100 and reinserted >= 50, (relations, reinserted)

@@ -1,5 +1,6 @@
 import random
 import time
+from itertools import chain as _chain
 
 import pytest
 
@@ -19,6 +20,8 @@ from dolrep import (
     merge_duplicate_images,
 )
 from dolrep.cli import parse_system
+from dolrep.morphism import CodewordIndex, code_witness
+from dolrep.simplify import _reduce_to_code
 from corpus_util import random_system
 
 
@@ -241,6 +244,48 @@ def test_code_reduce_drops_generated_words():
     assert len(kinds) > 1 and set(kinds[1:]) == {"code-reduction"}
 
 
+def test_code_reduce_pumped_chain_without_class():
+    # a -> a b1 c1, b_i -> b_(i+1) b_(i+1), b_k -> z, z -> z, c_i -> c_(i+1),
+    # c_k -> a at k = 12: after one duplicate merge, every step is a code
+    # reduction, and the longest image reaches 2^(k-1) + 2 letters.
+    k = 12
+    rules = {"a": ["a", "b1", "c1"], "z": ["z"], f"b{k}": ["z"], f"c{k}": ["a"]}
+    rules.update({f"b{i}": [f"b{i + 1}"] * 2 for i in range(1, k)})
+    rules.update({f"c{i}": [f"c{i + 1}"] for i in range(1, k)})
+    text = "alphabet: " + " ".join(rules) + "\naxiom: a\n"
+    text += "".join(f"{a} -> {' '.join(image)}\n" for a, image in rules.items())
+    system = parse_system(text)
+    start = time.perf_counter()
+    report = analyze(system)
+    assert time.perf_counter() - start < 15.0  # about 0.1 s
+    assert report.classes == ()
+    kinds = [step.kind for step in report.chain.steps]
+    assert kinds[0] == "duplicate-merge"
+    assert len(kinds) > 1 and set(kinds[1:]) == {"code-reduction"}
+
+
+def test_code_reduction_searches_scale(monkeypatch):
+    # 2048 letters with images of 1-3 random letters and the full axiom, as
+    # perfbench's wide_raw(2048, 1).  Applying every relation of a search's
+    # first completing level takes 47 searches here; the loop that applied
+    # one relation per search took 207.
+    n, rng = 2048, random.Random(1)
+    images = [tuple(rng.randrange(n) for _ in range(rng.randint(1, 3))) for _ in range(n)]
+    alphabet = Alphabet(tuple(f"l{a}" for a in range(n)))
+    system = D0LSystem(Morphism(alphabet, alphabet, images), tuple(range(n)))
+    searches = []
+    search = CodewordIndex.relations
+
+    def counted(self):
+        searches.append(1)
+        return search(self)
+
+    monkeypatch.setattr(CodewordIndex, "relations", counted)
+    report = analyze(system)
+    assert "code-reduction" in {step.kind for step in report.chain.steps}
+    assert len(searches) <= 100, len(searches)
+
+
 def test_code_reduce_rejects_codes(system_g):
     with pytest.raises(ValueError):
         code_reduce(system_g.morphism)
@@ -254,32 +299,122 @@ def test_injective_simplification_example1(example1_f):
     assert is_injective(chain.final_system.morphism)
 
 
-def test_chain_runs_sardinas_patterson_once_per_round(monkeypatch, system_g, example1_f):
+def test_code_reduction_searches_one_index_per_step(monkeypatch, system_g, example1_f):
+    import dolrep.engine
     import dolrep.morphism
     import dolrep.simplify
 
-    # sizes of the word sets of every code_witness run, from either module
-    calls = []
-    original = dolrep.morphism.code_witness
+    def forbidden(*args):
+        raise AssertionError("a standalone Sardinas-Patterson test ran during analyze")
 
-    def counted(words):
-        calls.append(len(words))
-        return original(words)
+    for module in (dolrep.morphism, dolrep.simplify, dolrep.engine):
+        for name in ("code_witness", "injectivity_witness"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    # searches run on each index, in the order the indexes are built
+    searches = []
+    build, search = CodewordIndex.__init__, CodewordIndex.relations
 
-    for module in (dolrep.morphism, dolrep.simplify):
-        monkeypatch.setattr(module, "code_witness", counted)
-    injective_simplification(system_g)
-    assert calls == [3]  # G's images form a code: one run finds no relation
+    def counted_build(self, codewords):
+        searches.append(0)
+        build(self, codewords)
 
-    # Example 1, images X = {aca, adc, acab, badc}.  Round 1: the relation
-    # aca.badc = acab.adc has heads aca and acab; acab does not factorize
-    # over the rest, so it is stripped to b.  Round 2: badc = b.adc, so badc
-    # is dropped.  A third run finds Y = {b, aca, adc} a code, and one run
-    # on the 3-letter final system finds its images a code too.
-    calls.clear()
-    chain = injective_simplification(example1_f)
+    def counted_search(self):
+        searches[-1] += 1
+        return search(self)
+
+    monkeypatch.setattr(CodewordIndex, "__init__", counted_build)
+    monkeypatch.setattr(CodewordIndex, "relations", counted_search)
+
+    assert analyze(system_g).chain.steps == ()
+    assert searches == [1]  # G's images form a code: the first search finds no relation
+
+    # Example 1, images X = {aca, adc, acab, badc}.  Search 1: the only
+    # overhang is aca.b = acab, and b.adc = badc completes it at the second
+    # level; acab does not factorize over the rest, so it is replaced by b.
+    # Search 2: the overhang b.adc = badc is a codeword, so badc is dropped.
+    # Search 3 finds Y = {b, aca, adc} a code.  A second index holds the
+    # images of the 3-letter final system, and its one search finds a code.
+    searches.clear()
+    chain = analyze(example1_f).chain
     assert [step.kind for step in chain.steps] == ["code-reduction"]
-    assert calls == [4, 4, 3, 3]  # 2 rounds + 1 + 1
+    assert searches == [3, 1]
+
+    # X = {ab, ba, a, b}: the overhangs a.b = ab and b.a = ba are both
+    # codewords, so the first level of search 1 completes two relations, and
+    # ab and ba are both dropped.  Search 2 finds {a, b} a code; one search
+    # on the final system.
+    searches.clear()
+    chain = analyze(make_system({"a": "ab", "b": "ba", "c": "a", "d": "b"}, "acd")).chain
+    assert [step.kind for step in chain.steps] == ["code-reduction"]
+    assert searches == [2, 1]
+
+
+def _concat(words):
+    return tuple(_chain.from_iterable(words))
+
+
+def _reference_reduce_to_code(images):
+    """The free-hull loop with one relation per round: a ``code_witness`` run
+    on Y sorted by length, then letters, each round, with every spelling
+    rewritten."""
+
+    def factorization(word, pieces):
+        n = len(word)
+        start = [0] + [None] * n  # where a last piece ending here starts
+        for i in range(n):
+            if start[i] is None:
+                continue
+            for p in pieces:
+                j = i + len(p)
+                if j <= n and start[j] is None and word[i:j] == p:
+                    start[j] = i
+        if start[n] is None:
+            return None
+        out = []
+        while n:
+            out.append(word[start[n] : n])
+            n = start[n]
+        return out[::-1]
+
+    Y = set(images)
+    spelled = [[x] for x in images]
+    while (relation := code_witness(members := sorted(Y, key=lambda w: (len(w), w)))) is not None:
+        u, v = sorted((members[relation[0][0]], members[relation[1][0]]), key=len)
+        Y.discard(v)
+        replacement = factorization(v, Y) or [u, v[len(u) :]]
+        Y.update(replacement)
+        spelled = [[w for y in s for w in (replacement if y == v else [y])] for s in spelled]
+    return None if Y == set(images) else spelled
+
+
+def test_reduce_to_code_matches_reference_loop():
+    rng = random.Random(1101)
+    non_codes = {"short": 0, "long": 0, "wide": 0}
+    for k in range(20_000):
+        if k % 200 == 0:
+            # concatenations of a few short blocks: images past 1 000 letters
+            family, letters = "long", rng.randint(1, 4)
+            blocks = [tuple(rng.randrange(letters) for _ in range(rng.randint(1, 5))) for _ in range(3)]
+            pool = {_concat(rng.choice(blocks) for _ in range(rng.randint(250, 500))) for _ in range(3)}
+            pool |= set(rng.sample(blocks, rng.randint(0, 3)))
+        elif k % 200 == 1:
+            # images of length 1-3 over n letters, drawn as by perfbench's wide_raw
+            family, n = "wide", rng.randint(64, 256)
+            pool = {tuple(rng.randrange(n) for _ in range(rng.randint(1, 3))) for _ in range(n)}
+        else:
+            family, letters = "short", rng.randint(1, 4)
+            pool = {
+                tuple(rng.randrange(letters) for _ in range(rng.randint(1, 6)))
+                for _ in range(rng.randint(1, 10))
+            }
+        images = sorted(pool)
+        rng.shuffle(images)
+        images = tuple(images)
+        spelled = _reduce_to_code(images)
+        assert spelled == _reference_reduce_to_code(images), images
+        non_codes[family] += spelled is not None
+    assert non_codes["short"] >= 10_000 and non_codes["long"] >= 40 and non_codes["wide"] >= 90, non_codes
 
 
 def test_analyze_never_runs_injectivity_witness(monkeypatch, example1_f):
