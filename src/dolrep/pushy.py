@@ -5,8 +5,16 @@ unbounded letter; recording the last (resp. first) one together with the
 bounded suffix (resp. prefix) it sheds yields two functional graphs on the
 unbounded letters, one per side.  Their cycles are the only source of
 arbitrarily long factors over bounded letters: a cycle whose labels contain
-an immortal letter pumps a periodic bounded-letter tail, and the period word
-is computed from the finite orbit of the accumulated label word.
+an immortal letter pumps a periodic bounded-letter tail at each of its
+phases (starting vertices).
+
+One period is computed per qualifying cycle, for its first phase, from the
+finite orbit of the label word accumulated over one round; that orbit is
+walked once and the blocks of the period are read off it.  The tail pumped
+at the next phase is phi of this one up to a bounded border, so each
+further phase's period is the primitive root of phi of the previous one,
+exact up to rotation by Fine & Wilf.  ``bounded_periodic_classes`` gives
+the proof sketch and the costs.
 """
 
 from __future__ import annotations
@@ -97,89 +105,88 @@ def is_pushy(system: D0LSystem) -> bool:
     return bool(bounded_periodic_classes(system))
 
 
-def _orbit_tail_period(system: D0LSystem, w: Word) -> tuple[int, int]:
-    """Least s >= 0 and t >= 1 with phi^s(w) = phi^(s+t)(w).
-
-    Terminates because w is over bounded letters, whose word orbit is finite.
-    """
-    phi = system.morphism
-    seen: dict[Word, int] = {}
-    cur = w
-    j = 0
-    while cur not in seen:
-        seen[cur] = j
-        cur = phi(cur)
-        j += 1
-    s = seen[cur]
-    return s, j - s
-
-
 def _cycle_period_word(system: D0LSystem, cycle: SideCycle) -> Word:
-    """Primitive period of the bounded-letter tail pumped by one cycle.
+    """Primitive period of the bounded-letter tail pumped by the cycle's first phase.
 
     Writing u_{i+1} for labels[i], the word accumulated per cycle round is
     u = u_k phi(u_{k-1}) ... phi^{k-1}(u_1) on the right, mirrored on the
-    left.  The block sequence phi^{jk}(u) is eventually periodic; one full
-    period of blocks, starting after the tail, is the period word (blocks in
-    descending iterate order on the left).
+    left; Horner's rule builds it with k applications of phi.  The orbit u,
+    phi(u), ... is finite, as u is over bounded letters, and one walk kept
+    in a list gives its tail s and period t.  The block sequence
+    phi^{jk}(u) is then eventually periodic; one full period of blocks,
+    starting after the tail, is the period word (blocks in descending
+    iterate order on the left).  Block j is read off the list at index jk,
+    folded into [s, s + t), so no iterate is expanded twice.
     """
     phi = system.morphism
     k = len(cycle.vertices)
-    labels = cycle.labels
-    parts: list[Word] = []
-    if cycle.side is Side.RIGHT:
-        for j in range(k):
-            parts.append(phi.iterate(labels[k - 1 - j], j))
-    else:
-        for j in range(k):
-            parts.append(phi.iterate(labels[j], k - 1 - j))
-    u = tuple(c for part in parts for c in part)
+    u: Word = ()
+    for label in cycle.labels:
+        u = label + phi(u) if cycle.side is Side.RIGHT else phi(u) + label
 
-    s, t = _orbit_tail_period(system, u)
+    orbit: list[Word] = []
+    seen: dict[Word, int] = {}
+    while u not in seen:
+        seen[u] = len(orbit)
+        orbit.append(u)
+        u = phi(u)
+    s = seen[u]
+    t = len(orbit) - s
     l0 = -(-s // k)
-    l1 = l0 + math.lcm(t, k) // k
-    blocks: list[Word] = []
-    w = phi.iterate(u, (l0 + 1) * k)
-    for _ in range(l0 + 1, l1 + 1):
-        blocks.append(w)
-        w = phi.iterate(w, k)
+    blocks = [orbit[s + (j * k - s) % t] for j in range(l0 + 1, l0 + 1 + math.lcm(t, k) // k)]
     if cycle.side is Side.LEFT:
         blocks.reverse()
-    period = tuple(c for b in blocks for c in b)
-    return primitive_root(period)
-
-
-def _rotations(cycle: SideCycle) -> list[SideCycle]:
-    k = len(cycle.vertices)
-    return [
-        SideCycle(
-            cycle.side,
-            cycle.vertices[r:] + cycle.vertices[:r],
-            cycle.labels[r:] + cycle.labels[:r],
-        )
-        for r in range(k)
-    ]
+    return primitive_root(tuple(c for b in blocks for c in b))
 
 
 def bounded_periodic_classes(system: D0LSystem) -> list[BoundedPeriodicFactor]:
     """Primitive periods of all infinite periodic factors over bounded letters.
 
     Cycles whose labels are all mortal (for non-erasing systems: empty) pump
-    nothing.  A qualifying cycle is processed once per starting vertex: each
-    vertex accumulates its own tail, and for cycles longer than one the
-    resulting periods are morphism images of one another, not conjugates, so
-    every phase contributes a class of its own.
+    nothing.  A qualifying cycle of length k contributes one emission per
+    phase r = 0, ..., k - 1, the cycle rotated to start at vertices[r].  For
+    k > 1 the phases' periods are morphism images of one another, not
+    conjugates, so every phase is a class of its own.
+
+    Only phase 0 runs ``_cycle_period_word``; phase r's period is the
+    primitive root of phi(P_{r-1}).  On the right, with
+    phi(a_i) = x_i a_{i+1} u_{i+1} along the cycle and T_i(n) the bounded
+    tail after the cycle letter in phi^n(a_i), expanding phi^{n+1}(a_i)
+    from the inside and from the outside gives
+
+        T_i(n+1) = u_{i+n+1} phi(T_i(n)) = T_{i+1}(n) phi^n(u_{i+1}).
+
+    Both u_{i+n+1} and phi^n(u_{i+1}) are over bounded letters, so their
+    lengths are bounded in n: T_{i+1}(n) is phi(T_i(n)) up to a border of
+    bounded length at each end.  T_i(n) has the factor P_i^m for every m
+    once n is large, so T_{i+1}(n) has arbitrarily long factors with period
+    |phi(P_i)|, and also with period |P_{i+1}|.  A factor longer than the
+    sum of the two periods has their gcd as a period (Fine & Wilf, Proc.
+    AMS 1965), and the primitive period of an eventually periodic word is
+    unique up to rotation, so the primitive root of phi(P_i) is a
+    conjugate of P_{i+1}.  The left side is the mirror image.  Phases
+    r >= 1 may thus carry a rotation of the word their own computation
+    would give; the conjugacy classes are the same.
+
+    Cost per qualifying cycle: k applications of phi for u, s + t for the
+    orbit, and one application of phi plus one primitive root per further
+    phase.  The rotated ``SideCycle`` of each phase is O(k) to build.
     """
-    cls = system.morphism.classification
+    phi = system.morphism
+    cls = phi.classification
     if not cls.unbounded:
         return []
     out: list[BoundedPeriodicFactor] = []
     for side in (Side.LEFT, Side.RIGHT):
         graph = build_side_graph(system, side)
         for cycle in cycles(graph):
-            if _has_immortal_label(cycle, cls):
-                for phase in _rotations(cycle):
-                    out.append(
-                        BoundedPeriodicFactor(side, phase, _cycle_period_word(system, phase))
-                    )
+            if not _has_immortal_label(cycle, cls):
+                continue
+            vertices, labels = cycle.vertices, cycle.labels
+            period = _cycle_period_word(system, cycle)
+            for r in range(len(vertices)):
+                if r:
+                    period = primitive_root(phi(period))
+                phase = SideCycle(side, vertices[r:] + vertices[:r], labels[r:] + labels[:r])
+                out.append(BoundedPeriodicFactor(side, phase, period))
     return out

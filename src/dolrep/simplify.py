@@ -34,7 +34,6 @@ from .morphism import (
     Morphism,
     compose,
     relation_heads,
-    translate_word,
 )
 from .words import Word
 
@@ -224,9 +223,15 @@ def code_reduce(f: Morphism) -> SimplificationStep:
 class SimplificationChain:
     """Sequence of simplification steps ending in an injective system.
 
-    systems[0] is the (reduced) input; systems[i+1] is the re-reduced system
-    obtained from step i.  ``map_back`` undoes the chain on words by applying
-    each step's k in reverse order.
+    systems[0] is the (reduced) input; systems[i+1] is the system
+    (g, h(axiom)) obtained from step i, with g = h o k.  It is reduced as
+    it stands: g^n(h(w)) = h(f^n(w)), and every letter of the new alphabet
+    occurs in some h(a) (each kept letter for erasing elimination, each
+    representative for a merge, each member of the code for code
+    reduction), so every new letter is reachable when every old one is.
+    Each step's target alphabet is therefore the next system's alphabet, and
+    ``map_back`` undoes the chain on words by applying each step's k in
+    reverse order.
     """
 
     steps: tuple[SimplificationStep, ...]
@@ -238,25 +243,22 @@ class SimplificationChain:
 
     def map_back(self, word: Word) -> Word:
         """Map a word over the final alphabet back to the original alphabet."""
-        alphabet = self.final_system.alphabet
         out = tuple(word)
         for step in reversed(self.steps):
-            # Re-reduction after a step may have shrunk the alphabet, so embed
-            # into the step's own target alphabet first (symbols are preserved).
-            out = step.k(translate_word(out, alphabet, step.k.source))
-            alphabet = step.k.target
+            out = step.k(out)
         return out
 
 
 def injective_simplification(system: D0LSystem) -> SimplificationChain:
-    """Simplify until the morphism is injective, re-reducing after each step.
+    """Simplify until the morphism is injective.
 
     Steps are chosen in priority order: erasing elimination, duplicate merge,
     code reduction.  Each shrinks the alphabet, so at most #A steps occur.
     A non-erasing morphism with distinct images is injective exactly when
     its images form a code, so the free-hull loop of code reduction is also
     the injectivity test: the chain ends when it finds no relation.  An
-    already-injective system yields an empty chain.
+    already-injective system yields an empty chain.  Every system of the
+    chain is reduced as built (see ``SimplificationChain``).
     """
     if not system.is_reduced():
         raise ValueError("injective_simplification expects a reduced system")
@@ -276,7 +278,7 @@ def injective_simplification(system: D0LSystem) -> SimplificationChain:
             raise SimplificationError(
                 "axiom erased during simplification: the system's language is finite"
             )
-        current = D0LSystem(step.simplified(), new_axiom).reduced()
+        current = D0LSystem(step.simplified(), new_axiom)
         steps.append(step)
         systems.append(current)
     return SimplificationChain(tuple(steps), tuple(systems))

@@ -1,18 +1,27 @@
+import math
 import random
+import time
 
 import pytest
 
 from dolrep import (
+    Alphabet,
+    D0LSystem,
+    Morphism,
     Side,
+    analyze,
     bounded_periodic_classes,
     build_side_graph,
     canonical_rotation,
     cycles,
     factor_occurrences,
+    is_primitive,
     is_pushy,
     make_system,
     primitive_root,
 )
+from dolrep import pushy
+from dolrep.pushy import SideCycle
 from corpus_util import random_system
 
 
@@ -171,3 +180,136 @@ def test_bounded_classes_canonical_forms(system_g, system_h):
     h_cls = canonical_rotation(primitive_root(bounded_periodic_classes(system_h)[0].period))
     assert g_cls == system_g.alphabet.word("1122")
     assert h_cls == system_h.alphabet.word("1122")
+
+
+# Reference: every phase of a cycle computed from scratch, as the engine did
+# before the phases were derived from one another by phi.
+
+
+def _reference_rotations(cycle):
+    k = len(cycle.vertices)
+    return [
+        SideCycle(
+            cycle.side,
+            cycle.vertices[r:] + cycle.vertices[:r],
+            cycle.labels[r:] + cycle.labels[:r],
+        )
+        for r in range(k)
+    ]
+
+
+def _reference_orbit_tail_period(system, w):
+    phi = system.morphism
+    seen = {}
+    cur = w
+    j = 0
+    while cur not in seen:
+        seen[cur] = j
+        cur = phi(cur)
+        j += 1
+    s = seen[cur]
+    return s, j - s
+
+
+def _reference_cycle_period_word(system, cycle):
+    phi = system.morphism
+    k = len(cycle.vertices)
+    labels = cycle.labels
+    parts = []
+    if cycle.side is Side.RIGHT:
+        for j in range(k):
+            parts.append(phi.iterate(labels[k - 1 - j], j))
+    else:
+        for j in range(k):
+            parts.append(phi.iterate(labels[j], k - 1 - j))
+    u = tuple(c for part in parts for c in part)
+
+    s, t = _reference_orbit_tail_period(system, u)
+    l0 = -(-s // k)
+    l1 = l0 + math.lcm(t, k) // k
+    blocks = []
+    w = phi.iterate(u, (l0 + 1) * k)
+    for _ in range(l0 + 1, l1 + 1):
+        blocks.append(w)
+        w = phi.iterate(w, k)
+    if cycle.side is Side.LEFT:
+        blocks.reverse()
+    period = tuple(c for b in blocks for c in b)
+    return primitive_root(period)
+
+
+def _reference_bounded_periodic_classes(system):
+    cls = system.morphism.classification
+    if not cls.unbounded:
+        return [], 0
+    out, long_cycles = [], 0
+    for side in (Side.LEFT, Side.RIGHT):
+        for cycle in cycles(build_side_graph(system, side)):
+            if any(b not in cls.mortal for label in cycle.labels for b in label):
+                long_cycles += len(cycle.vertices) >= 2
+                for phase in _reference_rotations(cycle):
+                    out.append((side, phase, _reference_cycle_period_word(system, phase)))
+    return out, long_cycles
+
+
+def test_derived_phases_match_per_phase_reference():
+    # phase r's period is derived as the primitive root of phi(P_(r-1)); it
+    # must be a rotation of the period computed for phase r from scratch
+    rng = random.Random(61)
+    systems = []
+    for i in range(20_000):
+        system = random_system(rng, max_letters=7, min_letters=2, max_image=4, min_image=1)
+        systems.append(system.reduced())
+        if i % 20 == 0:
+            systems.append(analyze(system).chain.final_system)
+    long_cycles = 0
+    for system in systems:
+        expected, found = _reference_bounded_periodic_classes(system)
+        long_cycles += found
+        emissions = bounded_periodic_classes(system)
+        assert len(emissions) == len(expected), system
+        for (side, cycle, period), (ref_side, ref_cycle, ref_period) in zip(emissions, expected):
+            assert side is ref_side and cycle == ref_cycle, system
+            assert is_primitive(period), system
+            assert canonical_rotation(period) == canonical_rotation(ref_period), system
+    assert long_cycles >= 500
+
+
+def _family_c(size, side):
+    # a_i -> a_(i+1) for i < L-1, a_(L-1) -> a_0 a_0 b (right) or b a_0 a_0
+    # (left), b -> b: one side cycle through all L letters pumps b^omega
+    alphabet = Alphabet(tuple(f"a{i}" for i in range(size)) + ("b",))
+    b = size
+    last = (0, 0, b) if side is Side.RIGHT else (b, 0, 0)
+    images = tuple((i + 1,) for i in range(size - 1)) + (last, (b,))
+    return D0LSystem(Morphism(alphabet, alphabet, images), (0,))
+
+
+@pytest.mark.parametrize("side", [Side.RIGHT, Side.LEFT])
+def test_family_c_long_side_cycle(side):
+    # every phase of the L-cycle was once computed from scratch, about L^3.5
+    # in all: 17.8 s on the right side at L = 500
+    size = 500
+    start = time.perf_counter()
+    report = analyze(_family_c(size, side))
+    elapsed = time.perf_counter() - start
+    assert report.pushy
+    assert [(c.representative, c.source.value) for c in report.classes] == [((size,), "bounded")]
+    assert report.chain.steps == ()
+    assert elapsed < 5, f"L = {size} took {elapsed:.1f} s"
+
+
+@pytest.mark.parametrize("side", [Side.RIGHT, Side.LEFT])
+def test_one_period_computation_per_cycle(monkeypatch, side):
+    calls = []
+    original = pushy._cycle_period_word
+
+    def counting(system, cycle):
+        calls.append(cycle.vertices)
+        return original(system, cycle)
+
+    monkeypatch.setattr(pushy, "_cycle_period_word", counting)
+    size = 50
+    emissions = bounded_periodic_classes(_family_c(size, side))
+    assert len(emissions) == size
+    assert calls == [tuple(range(size))]

@@ -476,13 +476,16 @@ def test_chain_invariants_randomized():
             assert len(step.h.source) == size_in
             assert len(step.h.target) < len(step.h.source)
         assert is_injective(chain.final_system.morphism)
-        # axioms are threaded through h (modulo re-reduction renumbering)
+        # each system is exactly (g, h(axiom)) of the step before it, and
+        # already reduced: every new letter occurs in some h(a)
         for i, step in enumerate(chain.steps):
             before, after = chain.systems[i], chain.systems[i + 1]
             pushed = step.h(before.axiom)
             assert [step.h.target.symbols[a] for a in pushed] == [
                 after.alphabet.symbols[a] for a in after.axiom
             ]
+            assert after == D0LSystem(step.simplified(), pushed)
+            assert after.is_reduced()
         assert len(chain.steps) <= len(system.alphabet)
     assert built > 150
 
