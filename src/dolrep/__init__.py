@@ -56,11 +56,8 @@ from .unbounded import (
 )
 from .words import (
     Word,
-    are_conjugate,
     canonical_rotation,
     conjugates,
-    exact_power_of,
-    factor_occurrences,
     is_primitive,
     primitive_root,
 )

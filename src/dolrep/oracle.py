@@ -18,12 +18,16 @@ letters, and building costs string joins, not a lookup per letter.
 
 The maximal powers behind `observed_classes` come from a vectorised scan
 (`_accumulate_run_powers`): for each period l <= max_len, numpy finds the
-maximal l-periodic stretches of a text, lists every (unit, power) pair
-they hold and groups the pairs by unit with an exact sort, so Python code
-runs once per distinct unit, not per stretch or position.  Finding the
-stretches costs O(max_len * n) numpy work per text of n letters, and
-grouping O(l) per pair of period l; the scan holds the letters at one byte
-each when every id is below 256, and groups pairs in fixed-size chunks.
+maximal l-periodic stretches of a text that reach the power threshold T
+(runs of at least (T - 1) * l letter equalities, found by eroding the
+equality mask with shifted ANDs), lists every (unit, power) pair of power
+>= T they hold and groups the pairs by unit with an exact sort, so Python
+code runs once per distinct unit, not per stretch or position.  Shorter
+repeats are never listed: the verdict needs only the powers >= T (proof in
+`observed_classes`).  Finding the stretches costs O(max_len * n log(T *
+max_len)) numpy work per text of n letters, and grouping O(l) per pair of
+power >= T and period l; the scan holds the letters at one byte each when
+every id is below 256, and groups pairs in fixed-size chunks.
 `observed_classes` scans batches of consecutive iterates joined by a
 sentinel that is no letter id, one scan per batch, dropping the units that
 hold the sentinel (a sentinel-free unit's stretch cannot reach one, so the
@@ -162,47 +166,61 @@ def _letter_array(text: str) -> np.ndarray:
         return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
 
 
-def _accumulate_run_powers(text: str, max_len: int, powers: dict[str, int]) -> None:
-    """Record, for every factor v with |v| <= max_len, the largest m >= 2 with
-    v^m a substring of text.
+def _accumulate_run_powers(text: str, max_len: int, min_power: int, powers: dict[str, int]) -> None:
+    """Record, for every factor v with |v| <= max_len, the largest m >= min_power
+    with v^m a substring of text; factors with no such m are left out.  Needs
+    min_power >= 2.
 
     For each period l, the maximal l-periodic stretches are the runs of
     text[i] == text[i + l]: a run [r, e) of length at least l holds the
     powers of the l units starting at r + d, d < min(l, e - r - l + 1), with
-    power (e - (r + d) + l) // l.  All these (position, power) pairs are built
-    at once, then sorted by unit (one `np.lexsort` over the unit's l letter
-    columns, so grouping is exact) and reduced to the highest power of each
-    distinct unit; only distinct units reach `powers`.
+    power (e - (r + d) + l) // l.  Power min_power or more needs a run of at
+    least k = (min_power - 1) * l equalities, so the equality mask is first
+    eroded to "k equalities in a row" by ceil(log2 k) shifted ANDs: a run
+    [r, e) becomes [r, e - k + 1), holding the min(l, e - r - k + 1) units
+    of power >= min_power, and shorter runs vanish.  These (position, power)
+    pairs are built at once, then sorted by unit (one `np.lexsort` over the
+    unit's l letter columns, so grouping is exact) and reduced to the
+    highest power of each distinct unit; only distinct units reach `powers`.
+    The periods stop at the first l with no room for min_power * l letters.
 
-    Cost per call on a text of n letters: numpy work O(n) per period to find
-    the stretches, so O(max_len * n) in all, plus O(l) per pair of period l
-    to group them (a period has fewer than n pairs, and on iterates far
-    fewer); Python work per distinct unit of each chunk.
+    Cost per call on a text of n letters: numpy work O(n log(min_power *
+    max_len)) per period to find the stretches, so O(max_len * n log(...))
+    in all, plus O(l) per pair of power >= min_power and period l to group
+    them; Python work per distinct such unit of each chunk.  Both follow
+    the stretches of power >= min_power, not every repeat in the text.
     Memory: the letters at one byte each when every id is below 256 (else
-    four), int32 positions (int64 only past 2**31 letters), the stretch
-    boundaries of one period (at most 12 bytes per letter while they are
-    found, far fewer on real iterates), and the scratch arrays of one chunk
+    four), a few masks of one byte per letter, int32 positions
+    (int64 only past 2**31 letters), the boundaries of the stretches of
+    power >= min_power of one period, and the scratch arrays of one chunk
     of at most _CHUNK_LETTERS unit letters (one pair when l exceeds it).
     """
     n = len(text)
-    if n < 2:
-        return
     letters = _letter_array(text)
     index = np.int32 if n + max_len < 2**31 else np.int64  # positions, powers
-    for l in range(1, min(max_len, n - 1) + 1):
-        # flags[1 + i] = text[i] == text[i + l], padded with a 0 at each end
-        flags = np.zeros(n - l + 2, dtype=np.int8)
-        np.equal(letters[:-l], letters[l:], out=flags[1:-1].view(np.bool_))
+    for l in range(1, max_len + 1):
+        k = (min_power - 1) * l
+        m = n - l - k + 1  # positions that can start a stretch of power >= min_power
+        if m <= 0:
+            break
+        eq = letters[:-l] == letters[l:]
+        width = 1  # eq[i]: text[i + j] == text[i + j + l] for every j < width
+        while width < k:
+            shift = min(width, k - width)
+            eq = eq[:-shift] & eq[shift:]
+            width += shift
+        # flags[1 + i] = eq[i], padded with a 0 at each end
+        flags = np.zeros(m + 2, dtype=np.bool_)
+        flags[1:-1] = eq
+        del eq
         edges = np.flatnonzero(flags[1:] != flags[:-1]).astype(index)
         del flags
-        starts, ends = edges[0::2], edges[1::2]
-        counts = ends - starts  # then the number of units with power >= 2
-        counts -= l - 1
-        np.minimum(counts, l, out=counts)
-        keep = counts > 0
-        if not keep.any():
+        if not len(edges):
             continue
-        starts, ends, counts = starts[keep], ends[keep], counts[keep]
+        starts, ends = edges[0::2], edges[1::2]
+        counts = ends - starts  # the units of power >= min_power
+        np.minimum(counts, l, out=counts)
+        ends += k - 1 + l  # the end of the stretch in text
         firsts = np.cumsum(counts, dtype=index) - counts  # each stretch's first pair
         total = int(firsts[-1] + counts[-1])
         step = max(1, _CHUNK_LETTERS // l)
@@ -213,7 +231,7 @@ def _accumulate_run_powers(text: str, max_len: int, powers: dict[str, int]) -> N
             b = int(np.searchsorted(firsts, hi))
             s = np.repeat(np.arange(a, b), counts[a:b])[lo - firsts[a] : hi - firsts[a]]
             pos = starts[s] + (np.arange(lo, hi, dtype=index) - firsts[s])
-            _keep_highest(text, letters, l, pos, (ends[s] + l - pos) // l, powers)
+            _keep_highest(text, letters, l, pos, (ends[s] - pos) // l, powers)
 
 
 def _keep_highest(
@@ -274,12 +292,21 @@ def observed_classes(system: D0LSystem, params: OracleParams = OracleParams()) -
     lies inside one iterate, where the per-iterate scan finds the same
     stretch.
 
-    Cost: the scans do O(max_len * n) numpy work over the n letters of all
-    the iterates, plus a fixed cost per (batch, period) instead of per
-    (iterate, period); the geometrically growing iterates of most systems
-    fit in a few batches.  Memory: the iterates, of which each batch takes
-    the place once joined, and the arrays of one scan, none longer than the
-    longest iterate.
+    The scans record only powers >= power_threshold (T), at full and at
+    half depth, and the verdict is the same as with every power recorded.
+    Write P for a unit's full-depth power and H for its half-depth power,
+    1 when the unit is missing there.  The unit is reported iff P >= T and
+    P > H.  A recorded H is exact.  A missing H is either below 2, where
+    counting it as 1 changes nothing, or in [2, T), where P >= T > H gives
+    the same verdict as 1.
+
+    Cost: the scans do O(max_len * n log(T * max_len)) numpy work over the
+    n letters of all the iterates, plus a fixed cost per (batch, period)
+    instead of per (iterate, period), and group only the units of power
+    >= T; the geometrically growing iterates of most systems fit in a few
+    batches.  Memory: the iterates, of which each batch takes the place
+    once joined, and the arrays of one scan, none longer than the longest
+    iterate.
     """
     texts = _iterate_strings(system, params.depth, params.max_word_len)
     half = -(-params.depth // 2)
@@ -287,22 +314,23 @@ def observed_classes(system: D0LSystem, params: OracleParams = OracleParams()) -
     bound = max(map(len, texts))
     late = texts[half + 1 :]
     del texts[half + 1 :]
+    threshold = params.power_threshold
     powers: dict[str, int] = {}
     for batch, longest in _batches(texts, sentinel, bound):
-        _accumulate_run_powers(batch, min(params.max_len, longest), powers)
+        _accumulate_run_powers(batch, min(params.max_len, longest), threshold, powers)
     half_powers = dict(powers)
     for batch, longest in _batches(late, sentinel, bound):
-        _accumulate_run_powers(batch, min(params.max_len, longest), powers)
+        _accumulate_run_powers(batch, min(params.max_len, longest), threshold, powers)
 
     out: set[Word] = set()
     for unit, power in powers.items():
-        if power < params.power_threshold or sentinel in unit:
+        if sentinel in unit:
             continue
         word = _str_word(unit)
         if not is_primitive(word):
             continue
-        # A unit missing at half depth had power at most 1 there, which every
-        # power >= power_threshold >= 2 exceeds.
+        # A unit missing at half depth had power below power_threshold there,
+        # which every recorded power exceeds.
         if power > half_powers.get(unit, 1):
             out.add(canonical_rotation(primitive_root(word)))
     return out

@@ -58,8 +58,12 @@ class SideCycle:
 
 
 class BoundedPeriodicFactor(NamedTuple):
+    """The period pumped at one phase of a side cycle: the tail after
+    cycle.vertices[phase], with the cycle read from that vertex on."""
+
     side: Side
     cycle: SideCycle
+    phase: int
     period: Word
 
 
@@ -144,7 +148,8 @@ def bounded_periodic_classes(system: D0LSystem) -> list[BoundedPeriodicFactor]:
 
     Cycles whose labels are all mortal (for non-erasing systems: empty) pump
     nothing.  A qualifying cycle of length k contributes one emission per
-    phase r = 0, ..., k - 1, the cycle rotated to start at vertices[r].  For
+    phase r = 0, ..., k - 1, the tail pumped from vertices[r]; every
+    emission of a cycle shares its one ``SideCycle`` and carries r.  For
     k > 1 the phases' periods are morphism images of one another, not
     conjugates, so every phase is a class of its own.
 
@@ -170,7 +175,7 @@ def bounded_periodic_classes(system: D0LSystem) -> list[BoundedPeriodicFactor]:
 
     Cost per qualifying cycle: k applications of phi for u, s + t for the
     orbit, and one application of phi plus one primitive root per further
-    phase.  The rotated ``SideCycle`` of each phase is O(k) to build.
+    phase; an emission adds O(1) to that, as no phase copies the cycle.
     """
     phi = system.morphism
     cls = phi.classification
@@ -182,11 +187,9 @@ def bounded_periodic_classes(system: D0LSystem) -> list[BoundedPeriodicFactor]:
         for cycle in cycles(graph):
             if not _has_immortal_label(cycle, cls):
                 continue
-            vertices, labels = cycle.vertices, cycle.labels
             period = _cycle_period_word(system, cycle)
-            for r in range(len(vertices)):
+            for r in range(len(cycle.vertices)):
                 if r:
                     period = primitive_root(phi(period))
-                phase = SideCycle(side, vertices[r:] + vertices[:r], labels[r:] + labels[:r])
-                out.append(BoundedPeriodicFactor(side, phase, period))
+                out.append(BoundedPeriodicFactor(side, cycle, r, period))
     return out

@@ -1,4 +1,4 @@
-"""Finite-word combinatorics: primitivity, conjugacy, powers, occurrences.
+"""Finite-word combinatorics: primitive roots, conjugates, canonical rotations.
 
 Words are plain tuples of letter ids (small non-negative ints indexing an
 Alphabet, see :mod:`dolrep.morphism`).  All functions here are pure and treat
@@ -12,9 +12,9 @@ from collections.abc import Sequence
 Word = tuple[int, ...]
 
 
-def _require_nonempty(w: Sequence[int], what: str = "word") -> None:
+def _require_nonempty(w: Sequence[int]) -> None:
     if len(w) == 0:
-        raise ValueError(f"{what} must be non-empty")
+        raise ValueError("word must be non-empty")
 
 
 def primitive_root(w: Sequence[int]) -> Word:
@@ -41,36 +41,8 @@ def conjugates(w: Sequence[int]) -> set[Word]:
     return {w[i:] + w[:i] for i in range(len(w))}
 
 
-def are_conjugate(u: Sequence[int], v: Sequence[int]) -> bool:
-    """True iff u is a rotation of v (two empty words are conjugate)."""
-    u, v = tuple(u), tuple(v)
-    if len(u) != len(v):
-        return False
-    if not u:
-        return True
-    return bool(factor_occurrences(v + v, u))
-
-
 def canonical_rotation(w: Sequence[int]) -> Word:
     """Lexicographically least rotation of w, comparing letters by id."""
     _require_nonempty(w)
     w = tuple(w)
     return min(w[i:] + w[:i] for i in range(len(w)))
-
-
-def exact_power_of(w: Sequence[int], v: Sequence[int]) -> int | None:
-    """Return m if w = v^m (m = 0 iff w is empty), else None."""
-    _require_nonempty(v, "base word")
-    w, v = tuple(w), tuple(v)
-    if len(w) % len(v):
-        return None
-    m = len(w) // len(v)
-    return m if v * m == w else None
-
-
-def factor_occurrences(text: Sequence[int], pattern: Sequence[int]) -> list[int]:
-    """All (possibly overlapping) start indices of pattern in text, ascending."""
-    _require_nonempty(pattern, "pattern")
-    text, pattern = tuple(text), tuple(pattern)
-    k = len(pattern)
-    return [i for i in range(len(text) - k + 1) if text[i : i + k] == pattern]

@@ -188,7 +188,8 @@ def test_class_dichotomy_and_image_side():
 
 
 def test_classes_pairwise_nonconjugate_and_primitive():
-    from dolrep import are_conjugate, is_primitive
+    from dolrep import is_primitive
+    from word_util import are_conjugate
 
     rng = random.Random(61)
     for _ in range(200):
@@ -212,7 +213,7 @@ def test_analyze_deterministic(system_g, system_h):
 
 def test_reported_sixth_powers_occur(system_g, system_h, doubling, duplicate_pair):
     # soundness at desk scale: rep^6 is a factor of some iterate of the original
-    from dolrep import factor_occurrences
+    from word_util import factor_occurrences
 
     for system, depth in ((system_g, 16), (system_h, 16), (doubling, 4), (duplicate_pair, 5)):
         for cls in analyze(system).classes:

@@ -160,15 +160,19 @@ def test_run_powers_against_brute_force(monkeypatch, chunk_letters):
     if chunk_letters is not None:
         monkeypatch.setattr(oracle, "_CHUNK_LETTERS", chunk_letters)
     rng = random.Random(7)
-    long_units = wide_ids = 0
+    long_units = wide_ids = filtered = 0
     for text in _random_texts(rng):
         max_len = rng.choice((1, 2, 8, 11))
-        powers = {}
-        _accumulate_run_powers(text, max_len, powers)
-        assert powers == _reference_run_powers(text, max_len), (text, max_len)
-        long_units += any(len(u) > 8 for u in powers)
+        expected = _reference_run_powers(text, max_len)
+        for min_power in (2, 3, 4):
+            powers = {}
+            _accumulate_run_powers(text, max_len, min_power, powers)
+            assert powers == {u: m for u, m in expected.items() if m >= min_power}, (text, max_len, min_power)
+            filtered += len(powers) < len(expected)
+        long_units += any(len(u) > 8 for u in expected)
         wide_ids += bool(text) and max(text) >= chr(256)
-    assert long_units >= 10 and wide_ids >= 100  # both regimes were exercised
+    # both letter regimes were exercised, and the thresholds dropped units
+    assert long_units >= 10 and wide_ids >= 100 and filtered >= 100
 
 
 def test_run_powers_across_chunks_of_default_size():
@@ -177,14 +181,14 @@ def test_run_powers_across_chunks_of_default_size():
     # every run of a repeated letter is one period-1 pair: more than a chunk holds
     assert len(re.findall(r"(.)\1+", text)) > oracle._CHUNK_LETTERS
     powers = {}
-    _accumulate_run_powers(text, 4, powers)
+    _accumulate_run_powers(text, 4, 2, powers)
     assert powers == _reference_run_powers(text, 4)
 
 
 def test_run_powers_one_letter_repeated():
     text = "a" * 5000
     powers = {}
-    _accumulate_run_powers(text, 11, powers)
+    _accumulate_run_powers(text, 11, 2, powers)
     assert powers == {"a" * l: 5000 // l for l in range(1, 12)}
     assert powers == _reference_run_powers(text, 11)
 
@@ -192,14 +196,14 @@ def test_run_powers_one_letter_repeated():
 def test_run_powers_accumulate_into_existing_dict():
     # powers found earlier are raised, never lowered
     powers = {"ab": 5, "a": 1}
-    _accumulate_run_powers("abababaaa", 2, powers)
+    _accumulate_run_powers("abababaaa", 2, 2, powers)
     assert powers == {"ab": 5, "ba": 3, "a": 3}
 
 
 def test_run_powers_accept_surrogate_letter_ids():
     # chr() accepts the ids 0xD800-0xDFFF; a strict UTF-32 encoding refuses them
     powers = {}
-    _accumulate_run_powers(chr(0xD800) * 4, 2, powers)
+    _accumulate_run_powers(chr(0xD800) * 4, 2, 2, powers)
     assert powers == {chr(0xD800): 4, chr(0xD800) * 2: 2}
 
 
@@ -283,12 +287,13 @@ def test_fast_letter_far_from_axiom_builds_nothing_big(chain):
 
 
 def _reference_observed(system: D0LSystem, params: OracleParams) -> set:
-    """observed_classes with one run-power scan per iterate."""
+    """observed_classes with one run-power scan per iterate, every power >= 2
+    recorded."""
     texts = _iterate_strings(system, params.depth, params.max_word_len)
     half = -(-params.depth // 2)
     powers, half_powers = {}, {}
     for n, text in enumerate(texts):
-        _accumulate_run_powers(text, params.max_len, powers)
+        _accumulate_run_powers(text, params.max_len, 2, powers)
         if n == half:
             half_powers = dict(powers)
     out = set()
@@ -307,9 +312,9 @@ def _reference_observed(system: D0LSystem, params: OracleParams) -> set:
 def test_batched_scan_against_per_iterate_scan(monkeypatch):
     scans = []
 
-    def scan(text, max_len, powers):
+    def scan(text, max_len, min_power, powers):
         scans.append(len(text))
-        _accumulate_run_powers(text, max_len, powers)
+        _accumulate_run_powers(text, max_len, min_power, powers)
 
     monkeypatch.setattr(oracle, "_accumulate_run_powers", scan)
     rng = random.Random(23)
@@ -334,7 +339,7 @@ def test_batched_scan_against_per_iterate_scan(monkeypatch):
         params = OracleParams(
             depth=rng.randint(1, 12),
             max_len=rng.choice((1, 8, 12, 500)),
-            power_threshold=rng.choice((2, 3)),
+            power_threshold=rng.choice((2, 3, 4)),
             max_word_len=400,
         )
         try:

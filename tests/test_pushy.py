@@ -1,6 +1,7 @@
 import math
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -14,7 +15,6 @@ from dolrep import (
     build_side_graph,
     canonical_rotation,
     cycles,
-    factor_occurrences,
     is_primitive,
     is_pushy,
     make_system,
@@ -23,6 +23,7 @@ from dolrep import (
 from dolrep import pushy
 from dolrep.pushy import SideCycle
 from corpus_util import random_system
+from word_util import factor_occurrences
 
 
 def test_side_graph_system_g(system_g):
@@ -89,9 +90,9 @@ def test_bounded_classes_system_g(system_g):
     alph = system_g.alphabet
     emissions = bounded_periodic_classes(system_g)
     assert len(emissions) == 1
-    side, cycle, period = emissions[0]
+    side, cycle, phase, period = emissions[0]
     assert side is Side.RIGHT
-    assert cycle.vertices == (0,)
+    assert cycle.vertices == (0,) and phase == 0
     assert period == alph.word("2112")  # phi(12).phi^2(12)
 
 
@@ -99,9 +100,9 @@ def test_bounded_classes_system_h(system_h):
     alph = system_h.alphabet
     emissions = bounded_periodic_classes(system_h)
     assert len(emissions) == 1
-    side, cycle, period = emissions[0]
+    side, cycle, phase, period = emissions[0]
     assert side is Side.LEFT
-    assert cycle.vertices == (alph.letter("3"),)
+    assert cycle.vertices == (alph.letter("3"),) and phase == 0
     assert period == alph.word("1221")  # phi^2(12).phi(12)
 
 
@@ -109,7 +110,7 @@ def test_bounded_classes_fixed_bounded_letter():
     # loop labeled "1" with phi(1) = 1: s=0, t=1, one block phi(1)
     system = make_system({"a": "a1", "1": "1"}, "a")
     emissions = bounded_periodic_classes(system)
-    periods = {(side, p) for side, _, p in emissions}
+    periods = {(side, p) for side, *_, p in emissions}
     assert periods == {(Side.RIGHT, system.alphabet.word("1"))}
 
 
@@ -119,7 +120,7 @@ def test_bounded_classes_one_per_cycle_phase():
     system = make_system({"a": "b", "b": "a1", "1": "2", "2": "1"}, "a")
     alph = system.alphabet
     emissions = bounded_periodic_classes(system)
-    assert {(e.cycle.vertices[0], e.period) for e in emissions} == {
+    assert {(e.cycle.vertices[e.phase], e.period) for e in emissions} == {
         (alph.letter("a"), alph.word("1")),
         (alph.letter("b"), alph.word("2")),
     }
@@ -138,7 +139,7 @@ def test_bounded_classes_all_over_bounded_letters():
         if system.morphism.is_erasing():
             continue
         cls = classify_letters(system.morphism)
-        for _, _, period in bounded_periodic_classes(system):
+        for *_, period in bounded_periodic_classes(system):
             assert period
             assert all(a in cls.bounded for a in period)
 
@@ -165,7 +166,7 @@ def test_suffix_pattern_accumulates_system_g(system_g):
 def test_emitted_periods_are_observed_factors(system_g, system_h):
     # P^6 occurs in some iterate at desk scale
     for system, depth in ((system_g, 14), (system_h, 14)):
-        for _, _, period in bounded_periodic_classes(system):
+        for *_, period in bounded_periodic_classes(system):
             found = False
             for n in range(depth + 1):
                 text = system.morphism.iterate(system.axiom, n)
@@ -268,8 +269,8 @@ def test_derived_phases_match_per_phase_reference():
         long_cycles += found
         emissions = bounded_periodic_classes(system)
         assert len(emissions) == len(expected), system
-        for (side, cycle, period), (ref_side, ref_cycle, ref_period) in zip(emissions, expected):
-            assert side is ref_side and cycle == ref_cycle, system
+        for (side, cycle, phase, period), (ref_side, ref_cycle, ref_period) in zip(emissions, expected):
+            assert side is ref_side and _reference_rotations(cycle)[phase] == ref_cycle, system
             assert is_primitive(period), system
             assert canonical_rotation(period) == canonical_rotation(ref_period), system
     assert long_cycles >= 500
@@ -313,3 +314,22 @@ def test_one_period_computation_per_cycle(monkeypatch, side):
     emissions = bounded_periodic_classes(_family_c(size, side))
     assert len(emissions) == size
     assert calls == [tuple(range(size))]
+
+
+@pytest.mark.parametrize("side", [Side.RIGHT, Side.LEFT])
+def test_family_c_emissions_share_one_cycle(side):
+    # a rotated copy of the L-cycle per phase cost O(L^2): 246 MB at L = 4000
+    size = 4000
+    system = _family_c(size, side)
+    tracemalloc.start()
+    try:
+        report = analyze(system)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [(c.representative, c.source.value) for c in report.classes] == [((size,), "bounded")]
+    assert peak < 20 * 2**20, f"peak {peak / 2**20:.1f} MB"
+    emissions = bounded_periodic_classes(system)
+    assert [e.phase for e in emissions] == list(range(size))
+    assert all(e.cycle is emissions[0].cycle for e in emissions)
+    assert emissions[0].cycle.vertices == tuple(range(size))

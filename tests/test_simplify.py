@@ -13,7 +13,6 @@ from dolrep import (
     code_reduce,
     compose,
     eliminate_erasing,
-    factor_occurrences,
     injective_simplification,
     is_injective,
     make_system,
@@ -23,6 +22,7 @@ from dolrep.cli import parse_system
 from dolrep.morphism import CodewordIndex, code_witness
 from dolrep.simplify import _reduce_to_code
 from corpus_util import random_system
+from word_util import factor_occurrences
 
 
 def _endo(rules, order):

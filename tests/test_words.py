@@ -2,16 +2,8 @@ import random
 
 import pytest
 
-from dolrep import (
-    Alphabet,
-    are_conjugate,
-    canonical_rotation,
-    conjugates,
-    exact_power_of,
-    factor_occurrences,
-    is_primitive,
-    primitive_root,
-)
+from dolrep import Alphabet, canonical_rotation, conjugates, is_primitive, primitive_root
+from word_util import are_conjugate, exact_power_of, factor_occurrences
 
 AB = Alphabet("ab")
 DIG = Alphabet("012")
