@@ -13,13 +13,16 @@ Every declared letter needs exactly one rule; an empty right-hand side
 denotes the empty word.  Exit codes: 0 success, 1 parse error or a file that
 cannot be read as UTF-8, 2 internal invariant failure or command-line usage
 error, 3 oracle disagreement under --verify, 4 oracle iterate over its length
-budget under --verify.
+budget under --verify, 141 (128 + SIGPIPE, what a shell shows for a filter
+stopped by SIGPIPE) when the reader of standard output closes it early, as
+`dolrep analyze FILE --json | head -1` does.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections.abc import Sequence
 
@@ -240,7 +243,15 @@ def run(argv: Sequence[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        status = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone.  Point stdout at /dev/null so that the flush at
+        # exit cannot fail again, and exit as a filter killed by SIGPIPE would.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 141
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -35,16 +35,22 @@ powers are those of a per-iterate scan).  A batch is never longer than the
 longest iterate, so no scan array is either, and the fixed numpy cost per
 scan is paid per batch, not per iterate: the scan's cost follows the total
 length of the iterates.
+
+numpy is imported by the scan's functions, not by this module, so importing
+dolrep, `analyze` and the CLI without `--verify` never load it; the first
+scan does, and later scans find it in `sys.modules`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .morphism import D0LSystem
 from .words import Word, canonical_rotation, is_primitive, primitive_root
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class OracleResourceError(RuntimeError):
@@ -159,6 +165,8 @@ _CHUNK_LETTERS = 1 << 15
 
 def _letter_array(text: str) -> np.ndarray:
     """The letter ids of text, one byte each when every id is below 256."""
+    import numpy as np
+
     try:
         return np.frombuffer(text.encode("latin-1"), dtype=np.uint8)
     except UnicodeEncodeError:
@@ -195,6 +203,8 @@ def _accumulate_run_powers(text: str, max_len: int, min_power: int, powers: dict
     power >= min_power of one period, and the scratch arrays of one chunk
     of at most _CHUNK_LETTERS unit letters (one pair when l exceeds it).
     """
+    import numpy as np
+
     n = len(text)
     letters = _letter_array(text)
     index = np.int32 if n + max_len < 2**31 else np.int64  # positions, powers
@@ -238,6 +248,8 @@ def _keep_highest(
     text: str, letters: np.ndarray, l: int, pos: np.ndarray, power: np.ndarray, powers: dict[str, int]
 ) -> None:
     """Raise powers[text[p : p + l]] to the highest power among the pairs."""
+    import numpy as np
+
     columns = [letters[pos + j] for j in range(l)]
     order = np.lexsort(columns)  # any key order puts equal units together
     head = np.zeros(len(order), dtype=np.bool_)

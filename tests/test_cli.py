@@ -231,16 +231,94 @@ def test_run_oracle_flag_below_minimum_is_usage_error(tmp_path, capsys, flag, va
     assert "usage: dolrep analyze" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("module", ["dolrep", "dolrep.cli"])
-def test_python_dash_m_runs_cli(tmp_path, module):
+def _src_env() -> dict[str, str]:
+    """The environment with this checkout's sources first on PYTHONPATH."""
     src = os.path.dirname(os.path.dirname(dolrep.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path)
+
+
+@pytest.mark.parametrize("module", ["dolrep", "dolrep.cli"])
+def test_python_dash_m_runs_cli(tmp_path, module):
     proc = subprocess.run(
         [sys.executable, "-m", module, "analyze", _write(tmp_path, "g.dol", G_FILE)],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=_src_env(),
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert "representative 1122" in proc.stdout
+
+
+def _cyclic_file(length: int) -> str:
+    """a_i -> a_(i+1) for i < length - 1, a_(length-1) -> a_0 a_0, axiom a_0."""
+    lines = ["alphabet: " + " ".join(f"a{i}" for i in range(length)), "axiom: a0"]
+    lines += [f"a{i} -> a{i + 1}" for i in range(length - 1)]
+    lines.append(f"a{length - 1} -> a0 a0")
+    return "\n".join(lines) + "\n"
+
+
+def test_closed_stdout_exits_141_without_traceback(tmp_path):
+    # The --json report of 2000 cyclic letters has about 430 KB, several
+    # times a pipe buffer, so the writer is still writing when the pipe closes.
+    path = _write(tmp_path, "cyc.dol", _cyclic_file(2000))
+    with subprocess.Popen(
+        [sys.executable, "-m", "dolrep", "analyze", path, "--json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=_src_env(),
+    ) as proc:
+        try:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            status = proc.wait(timeout=120)
+        finally:
+            proc.kill()
+        err = proc.stderr.read()
+    assert first == "{\n"
+    assert status == 141, err
+    assert err == ""
+
+
+# Run in a fresh interpreter: the analysis path must not import numpy, and the
+# oracle's first scan must.
+_IMPORT_BOUNDARY = """
+import contextlib, io, json, sys
+import dolrep
+from dolrep import analyze, make_system
+from dolrep.cli import run
+
+system = make_system({"0": "012", "1": "2", "2": "1"}, "0")
+report = analyze(system)
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    codes = [run(["analyze", sys.argv[1]]), run(["analyze", sys.argv[1], "--json"])]
+before = "numpy" in sys.modules
+observed = dolrep.observed_classes(system)
+print(json.dumps({
+    "codes": codes,
+    "reports": "representative 1122" in out.getvalue() and '"representative"' in out.getvalue(),
+    "numpy_before_oracle": before,
+    "numpy_after_oracle": "numpy" in sys.modules,
+    "oracle_agrees": observed == {cls.representative for cls in report.classes},
+}))
+"""
+
+
+def test_numpy_is_loaded_only_by_the_oracle(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_BOUNDARY, _write(tmp_path, "g.dol", G_FILE)],
+        capture_output=True,
+        text=True,
+        env=_src_env(),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "codes": [0, 0],
+        "reports": True,
+        "numpy_before_oracle": False,
+        "numpy_after_oracle": True,
+        "oracle_agrees": True,
+    }
