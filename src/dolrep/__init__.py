@@ -49,7 +49,6 @@ from .simplify import (
     merge_duplicate_images,
 )
 from .unbounded import (
-    FirstLetterCycleCandidate,
     first_letter_candidates,
     lando_periodic_check,
     unbounded_periodic_classes,

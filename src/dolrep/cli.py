@@ -46,8 +46,13 @@ class ParseError(Exception):
 
 
 def parse_system(text: str) -> D0LSystem:
-    """Parse the file format above into a D0LSystem."""
+    """Parse the file format above into a D0LSystem.
+
+    One leading byte-order mark (U+FEFF) is dropped: ``str.split`` does not
+    treat it as whitespace, so it would glue itself to the first token.
+    """
     entries: list[tuple[int, list[str]]] = []
+    text = text.removeprefix("\ufeff")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.partition("#")[0].split()
         if tokens:

@@ -14,7 +14,7 @@ from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .words import Word
+from .words import Word, _word_str
 
 
 @dataclass(frozen=True)
@@ -351,12 +351,6 @@ def functional_cycles(vertices: Iterable[int], target: Callable[[int], int]) -> 
     return out
 
 
-def _text(word: Word) -> str:
-    """The word as a string of one character per letter (``chr`` of its
-    id), so that the index slices, compares and hashes it in C."""
-    return "".join(map(chr, word))
-
-
 class CodewordIndex:
     """A set of codewords as a compressed trie, edited in place.
 
@@ -395,7 +389,7 @@ class CodewordIndex:
         """Add a non-empty word that is not in the set; return its index."""
         children, edges, ends, through = self.children, self.edges, self.ends, self.through
         j, n = len(self.texts), len(word)
-        y = _text(word)
+        y = _word_str(word)
         self.words.append(word)
         self.texts.append(y)
         node = d = 0
@@ -457,7 +451,7 @@ class CodewordIndex:
         the set is a code.
         """
         children, edges, ends = self.children, self.edges, self.ends
-        y = _text(word)
+        y = _word_str(word)
         n = len(y)
         last = [-1] * (n + 1)  # a codeword ending a product at each reached position
         for i in range(n):

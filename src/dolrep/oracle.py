@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .morphism import D0LSystem
-from .words import Word, canonical_rotation, is_primitive, primitive_root
+from .words import Word, _str_word, _word_str, canonical_rotation, is_primitive, primitive_root
 
 if TYPE_CHECKING:
     import numpy as np
@@ -110,14 +110,6 @@ def _iterate_strings(system: D0LSystem, depth: int, cap: int) -> list[str]:
         level = {b: "".join(map(level.__getitem__, images[b])) for b in reach[depth - k]}
         out.append("".join(map(level.__getitem__, system.axiom)))
     return out
-
-
-def _word_str(w: Word) -> str:
-    return "".join(map(chr, w))
-
-
-def _str_word(s: str) -> Word:
-    return tuple(map(ord, s))
 
 
 def factors_up_to(system: D0LSystem, params: OracleParams = OracleParams()) -> set[Word]:

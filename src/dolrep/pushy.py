@@ -4,9 +4,9 @@ For a non-erasing system the image of every unbounded letter contains an
 unbounded letter; recording the last (resp. first) one together with the
 bounded suffix (resp. prefix) it sheds yields two functional graphs on the
 unbounded letters, one per side.  Their cycles are the only source of
-arbitrarily long factors over bounded letters: a cycle whose labels contain
-an immortal letter pumps a periodic bounded-letter tail at each of its
-phases (starting vertices).
+arbitrarily long factors over bounded letters: a cycle with a non-empty
+label pumps a periodic bounded-letter tail at each of its phases (starting
+vertices).
 
 One period is computed per qualifying cycle, for its first phase, from the
 finite orbit of the label word accumulated over one round; that orbit is
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .morphism import D0LSystem, LetterClassification, functional_cycles
+from .morphism import D0LSystem, functional_cycles
 from .words import Word, primitive_root
 
 
@@ -100,12 +100,8 @@ def cycles(graph: SideGraph) -> list[SideCycle]:
     ]
 
 
-def _has_immortal_label(cycle: SideCycle, cls: LetterClassification) -> bool:
-    return any(b not in cls.mortal for label in cycle.labels for b in label)
-
-
 def is_pushy(system: D0LSystem) -> bool:
-    """True iff some side-graph cycle has an edge with an immortal label."""
+    """True iff some side-graph cycle has an edge with a non-empty label."""
     return bool(bounded_periodic_classes(system))
 
 
@@ -146,11 +142,12 @@ def _cycle_period_word(system: D0LSystem, cycle: SideCycle) -> Word:
 def bounded_periodic_classes(system: D0LSystem) -> list[BoundedPeriodicFactor]:
     """Primitive periods of all infinite periodic factors over bounded letters.
 
-    Cycles whose labels are all mortal (for non-erasing systems: empty) pump
-    nothing.  A qualifying cycle of length k contributes one emission per
-    phase r = 0, ..., k - 1, the tail pumped from vertices[r]; every
-    emission of a cycle shares its one ``SideCycle`` and carries r.  For
-    k > 1 the phases' periods are morphism images of one another, not
+    Cycles whose labels are all empty pump nothing.  The side graphs exist
+    for non-erasing systems only, which have no mortal letter, so any
+    non-empty label pumps.  A qualifying cycle of length k contributes one
+    emission per phase r = 0, ..., k - 1, the tail pumped from vertices[r];
+    every emission of a cycle shares its one ``SideCycle`` and carries r.
+    For k > 1 the phases' periods are morphism images of one another, not
     conjugates, so every phase is a class of its own.
 
     Only phase 0 runs ``_cycle_period_word``; phase r's period is the
@@ -178,14 +175,13 @@ def bounded_periodic_classes(system: D0LSystem) -> list[BoundedPeriodicFactor]:
     phase; an emission adds O(1) to that, as no phase copies the cycle.
     """
     phi = system.morphism
-    cls = phi.classification
-    if not cls.unbounded:
+    if not phi.classification.unbounded:
         return []
     out: list[BoundedPeriodicFactor] = []
     for side in (Side.LEFT, Side.RIGHT):
         graph = build_side_graph(system, side)
         for cycle in cycles(graph):
-            if not _has_immortal_label(cycle, cls):
+            if not any(cycle.labels):
                 continue
             period = _cycle_period_word(system, cycle)
             for r in range(len(cycle.vertices)):

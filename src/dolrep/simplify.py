@@ -37,8 +37,6 @@ from .morphism import (
 )
 from .words import Word
 
-STEP_KINDS = ("erasing-elimination", "duplicate-merge", "code-reduction")
-
 
 class SimplificationError(RuntimeError):
     """A simplification step could not be carried out."""

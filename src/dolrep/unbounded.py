@@ -22,43 +22,31 @@ per letter, each expanding phi^L, would make it quadratic.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
-from itertools import cycle
 
 from .morphism import D0LSystem, Morphism, functional_cycles
 from .words import Word, primitive_root
 
 
-@dataclass(frozen=True)
-class FirstLetterCycleCandidate:
-    """Unbounded letter on a cycle of the first-letter graph, with its length."""
+def first_letter_candidates(system: D0LSystem) -> list[tuple[int, ...]]:
+    """The cycles of the graph a -> first(phi(a)) through unbounded letters.
 
-    letter: int
-    exponent: int  # least l >= 1 with first(phi^l(letter)) = letter
-
-
-def first_letter_candidates(system: D0LSystem) -> list[FirstLetterCycleCandidate]:
-    """All unbounded letters lying on a cycle of the graph a -> first(phi(a)).
-
-    Every letter of each cycle is kept (the engine deduplicates equivalent
-    results), with the cycle's length as its exponent; that length never
-    exceeds the alphabet size.  A cycle through an unbounded letter has only
-    unbounded letters, since each of them reaches it.  O(|A|).
+    Each cycle starts at its least letter and follows first letters, and the
+    list is ordered by that letter; a cycle's length never exceeds the
+    alphabet size.  A cycle through an unbounded letter has only unbounded
+    letters, since each of them reaches it.  O(|A|).
     """
     phi = system.morphism
     if phi.is_erasing():
         raise ValueError("first-letter graph requires a non-erasing morphism")
     unbounded = phi.classification.unbounded
     firsts = [img[0] for img in phi.images]
-    out = [
-        FirstLetterCycleCandidate(a, len(cycle))
+    return [
+        cycle
         for cycle in functional_cycles(range(len(firsts)), firsts.__getitem__)
         if cycle[0] in unbounded
-        for a in cycle
     ]
-    out.sort(key=lambda cand: cand.letter)
-    return out
 
 
 def _advance_counts(phi: Morphism, counts: dict[int, int], steps: int) -> dict[int, int]:
@@ -150,7 +138,7 @@ def lando_periodic_check(phi: Morphism, exponent: int, letter: int) -> Word | No
 
     v = _prefix_before_second(phi, letter, exponent * s)
     length = 0
-    for length, (c, d) in enumerate(zip(_expand(phi, v, exponent), cycle(v)), start=1):
+    for length, (c, d) in enumerate(zip(_expand(phi, v, exponent), itertools.cycle(v)), start=1):
         if c != d:
             return None
     m, rest = divmod(length, len(v))
@@ -175,25 +163,22 @@ def unbounded_periodic_classes(system: D0LSystem) -> list[Word]:
     cycle: psi = phi^l, l the cycle's length, commutes with phi, so
     psi^omega(b) = phi(psi^omega(a)), and the converse holds going round the
     cycle; a purely periodic word has one primitive period (Fine-Wilf).
-    The words come out in candidate order, each once, as a check of every
-    candidate letter would give them.  On a non-injective system, where the
-    check can reject a letter whose psi^omega is periodic, that may differ.
+    Letter a's word starts with a, as v is a prefix of psi^s(a), and
+    primitive_root(phi(w_a)) starts with b; so the words have pairwise
+    distinct first letters, and sorting them gives letter order, as a check
+    of every candidate letter would give them.  On a non-injective system,
+    where the check can reject a letter whose psi^omega is periodic, that
+    may differ.
     """
     phi = system.morphism
-    candidates = first_letter_candidates(system)
-    period: dict[int, Word | None] = {}
-    for cand in candidates:
-        a = cand.letter
-        if a in period:
+    words: list[Word] = []
+    for cycle in first_letter_candidates(system):
+        v = lando_periodic_check(phi, len(cycle), cycle[0])
+        if v is None:
             continue
-        v = lando_periodic_check(phi, cand.exponent, a)
-        w = None if v is None else primitive_root(v)
-        while True:
-            period[a] = w
-            a = phi.first_letter(a)
-            if a in period:
-                break
-            if w is not None:
-                w = primitive_root(phi(w))
-    words = (period[cand.letter] for cand in candidates)
-    return list(dict.fromkeys(w for w in words if w is not None))
+        w = primitive_root(v)
+        words.append(w)
+        for _ in cycle[1:]:
+            w = primitive_root(phi(w))
+            words.append(w)
+    return sorted(words)

@@ -12,6 +12,17 @@ from collections.abc import Sequence
 Word = tuple[int, ...]
 
 
+def _word_str(word: Sequence[int]) -> str:
+    """The word as a string of one character per letter (``chr`` of its
+    id), so that it slices, compares, searches and hashes in C."""
+    return "".join(map(chr, word))
+
+
+def _str_word(text: str) -> Word:
+    """The inverse of ``_word_str``."""
+    return tuple(map(ord, text))
+
+
 def _require_nonempty(w: Sequence[int]) -> None:
     if len(w) == 0:
         raise ValueError("word must be non-empty")

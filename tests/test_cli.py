@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -116,6 +117,17 @@ def _write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def test_byte_order_mark_is_ignored(tmp_path, capsys, monkeypatch):
+    assert parse_system("\ufeff" + G_FILE) == parse_system(G_FILE)
+    path = tmp_path / "bom.dol"
+    path.write_bytes(b"\xef\xbb\xbf" + G_FILE.encode())
+    assert run(["analyze", str(path)]) == 0
+    assert "1122" in capsys.readouterr().out
+    monkeypatch.setattr(sys, "stdin", io.StringIO("\ufeff" + G_FILE))
+    assert run(["analyze", "-"]) == 0
+    assert "1122" in capsys.readouterr().out
 
 
 def test_run_text_report(tmp_path, capsys):

@@ -166,9 +166,13 @@ def test_first_letter_candidates_against_walk_back():
                 if b == a:
                     expected.append((a, step))
                     break
-        got = [(cand.letter, cand.exponent) for cand in first_letter_candidates(system)]
-        assert got == expected, system
-        lengths.update(exponent for _, exponent in got)
+        got = first_letter_candidates(system)
+        for cycle in got:
+            assert cycle[0] == min(cycle), system
+            assert [phi.first_letter(a) for a in cycle] == list(cycle[1:] + cycle[:1]), system
+        assert [cycle[0] for cycle in got] == sorted(cycle[0] for cycle in got), system
+        assert sorted((a, len(cycle)) for cycle in got for a in cycle) == expected, system
+        lengths.update(len(cycle) for cycle in got)
     assert max(lengths) >= 4, lengths
 
 
@@ -234,9 +238,12 @@ def test_advance_counts_caps_at_two():
 def test_lando_check_unchanged_by_the_cap(monkeypatch):
     systems = _systems(5107, 1200, min_image=1)
     candidates = [
-        (system.morphism, cand) for system in systems for cand in first_letter_candidates(system)
+        (system.morphism, len(cycle), a)
+        for system in systems
+        for cycle in first_letter_candidates(system)
+        for a in cycle
     ]
-    capped = [lando_periodic_check(phi, cand.exponent, cand.letter) for phi, cand in candidates]
+    capped = [lando_periodic_check(phi, length, a) for phi, length, a in candidates]
     largest = []
 
     def uncapped(phi, counts, steps):
@@ -245,7 +252,7 @@ def test_lando_check_unchanged_by_the_cap(monkeypatch):
         return counts
 
     monkeypatch.setattr(unbounded, "_advance_counts", uncapped)
-    exact = [lando_periodic_check(phi, cand.exponent, cand.letter) for phi, cand in candidates]
+    exact = [lando_periodic_check(phi, length, a) for phi, length, a in candidates]
     assert capped == exact
     assert sum(v is not None for v in exact) >= 20
     assert max(largest) > 2

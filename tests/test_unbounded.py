@@ -5,7 +5,6 @@ import pytest
 from dolrep import (
     Alphabet,
     D0LSystem,
-    FirstLetterCycleCandidate,
     Morphism,
     analyze,
     first_letter_candidates,
@@ -19,27 +18,21 @@ from corpus_util import random_system
 
 
 def test_candidates_system_g(system_g):
-    assert first_letter_candidates(system_g) == [FirstLetterCycleCandidate(0, 1)]
+    assert first_letter_candidates(system_g) == [(0,)]
 
 
 def test_candidates_two_cycle():
     system = make_system({"a": "ba", "b": "ab"}, "a")
-    assert first_letter_candidates(system) == [
-        FirstLetterCycleCandidate(0, 2),
-        FirstLetterCycleCandidate(1, 2),
-    ]
+    assert first_letter_candidates(system) == [(0, 1)]
 
 
 def test_candidates_thue_morse(thue_morse):
-    assert first_letter_candidates(thue_morse) == [
-        FirstLetterCycleCandidate(0, 1),
-        FirstLetterCycleCandidate(1, 1),
-    ]
+    assert first_letter_candidates(thue_morse) == [(0,), (1,)]
 
 
 def test_candidates_exclude_cycle_free_letters(fibonacci):
     # first-letter graph: 0 -> 0, 1 -> 0; only 0 lies on a cycle
-    assert first_letter_candidates(fibonacci) == [FirstLetterCycleCandidate(0, 1)]
+    assert first_letter_candidates(fibonacci) == [(0,)]
 
 
 def test_candidate_exponent_bounded_by_alphabet():
@@ -48,8 +41,8 @@ def test_candidate_exponent_bounded_by_alphabet():
         make_system({"a": "bb", "b": "cc", "c": "aa"}, "a"),
     ]
     for system in systems:
-        for cand in first_letter_candidates(system):
-            assert 1 <= cand.exponent <= len(system.alphabet)
+        for cycle in first_letter_candidates(system):
+            assert 1 <= len(cycle) <= len(system.alphabet)
 
 
 def test_lando_doubling(doubling):
@@ -139,12 +132,14 @@ def test_lando_rejection_builds_no_long_word(monkeypatch):
 
 
 def _per_letter_reference(system):
-    """Lando's check on every candidate letter: {letter: primitive period or None}."""
+    """Lando's check on every candidate letter: {letter: primitive period or None},
+    in letter order."""
     phi = system.morphism
+    lengths = {a: len(cycle) for cycle in first_letter_candidates(system) for a in cycle}
     out = {}
-    for cand in first_letter_candidates(system):
-        v = lando_periodic_check(phi, cand.exponent, cand.letter)
-        out[cand.letter] = None if v is None else primitive_root(v)
+    for a in sorted(lengths):
+        v = lando_periodic_check(phi, lengths[a], a)
+        out[a] = None if v is None else primitive_root(v)
     return out
 
 
@@ -174,7 +169,12 @@ def test_one_check_per_cycle_matches_per_letter_reference():
             continue
         reference = _per_letter_reference(final)
         words = [w for w in reference.values() if w is not None]
-        assert unbounded_periodic_classes(final) == list(dict.fromkeys(words)), final
+        got = unbounded_periodic_classes(final)
+        assert got == list(dict.fromkeys(words)), final
+        # the sort in unbounded_periodic_classes gives letter order because
+        # each accepted letter's word starts with that letter
+        assert all(w[0] == a for a, w in reference.items() if w is not None), final
+        assert len({w[0] for w in got}) == len(got), final
         phi = final.morphism
         for cycle in functional_cycles(reference, phi.first_letter):
             periods = [reference[a] for a in cycle]
