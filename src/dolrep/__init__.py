@@ -29,16 +29,7 @@ from .morphism import (
     translate_word,
 )
 from .oracle import OracleParams, OracleResourceError, factors_up_to, max_power, observed_classes
-from .pushy import (
-    BoundedPeriodicFactor,
-    Side,
-    SideCycle,
-    SideGraph,
-    bounded_periodic_classes,
-    build_side_graph,
-    cycles,
-    is_pushy,
-)
+from .pushy import Side, bounded_periodic_classes, build_side_graph, cycles, is_pushy
 from .simplify import (
     SimplificationChain,
     SimplificationError,

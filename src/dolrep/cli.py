@@ -12,10 +12,11 @@ whitespace; multi-character symbols are fine):
 Every declared letter needs exactly one rule; an empty right-hand side
 denotes the empty word.  Exit codes: 0 success, 1 parse error or a file that
 cannot be read as UTF-8, 2 internal invariant failure or command-line usage
-error, 3 oracle disagreement under --verify, 4 oracle iterate over its length
-budget under --verify, 141 (128 + SIGPIPE, what a shell shows for a filter
-stopped by SIGPIPE) when the reader of standard output closes it early, as
-`dolrep analyze FILE --json | head -1` does.
+error, 3 oracle disagreement under --verify, 4 the oracle could not run under
+--verify (an iterate or the depth over its letter budget, or numpy missing),
+5 out of memory (a MemoryError), 141 (128 + SIGPIPE, what a shell shows for
+a filter stopped by SIGPIPE) when the reader of standard output closes it
+early, as `dolrep analyze FILE --json | head -1` does.
 """
 
 from __future__ import annotations
@@ -230,7 +231,7 @@ def run(argv: Sequence[str]) -> int:
     if args.verify:
         try:
             observed = observed_classes(system, params)
-        except OracleResourceError as exc:
+        except (OracleResourceError, ImportError) as exc:  # numpy is imported by the oracle's scan
             print(f"error: oracle: {exc}", file=sys.stderr)
             return 4
         engine_reps = {cls.representative for cls in report.classes}
@@ -256,6 +257,12 @@ def main() -> None:
         # exit cannot fail again, and exit as a filter killed by SIGPIPE would.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         status = 141
+    except MemoryError:
+        status = 5
+    if status == 5:
+        # Reported once the except clause has dropped the traceback, and with
+        # it the frames that hold the memory.
+        print("error: out of memory", file=sys.stderr)
     sys.exit(status)
 
 

@@ -81,7 +81,7 @@ def analyze(system: D0LSystem) -> AnalysisReport:
     if reduced.morphism.classification.unbounded:
         chain = injective_simplification(reduced)
         final = chain.final_system
-        bounded_periods = tuple(emission.period for emission in bounded_periodic_classes(final))
+        bounded_periods = tuple(bounded_periodic_classes(final))
         unbounded_periods = tuple(unbounded_periodic_classes(final))
     bounded_letters = system.morphism.classification.bounded
     classes: dict[Word, PeriodicFactorClass] = {}

@@ -87,7 +87,16 @@ def _iterate_strings(system: D0LSystem, depth: int, cap: int) -> list[str]:
     letter of each iterate.  Memory: the letters of phi^j(w) hold at most
     budget letters between them at every level, so a level holds at most
     (depth + 1) * budget letters, and two levels are alive at a time.
+
+    A depth over the budget raises before anything is built: the iterates
+    are kept one per depth, so their number is bounded like their lengths.
+    The reach sets stop growing once a step adds no letter, and from then
+    on every depth shares the last one.
     """
+    if depth > cap:
+        raise OracleResourceError(
+            f"depth {depth} exceeds the {cap}-letter budget (one iterate is kept per depth)"
+        )
     images = system.morphism.images
     counts = [0] * len(images)
     for a in system.axiom:
@@ -103,7 +112,8 @@ def _iterate_strings(system: D0LSystem, depth: int, cap: int) -> list[str]:
                 for b in images[a]:
                     nxt[b] += c
         counts = nxt
-        reach.append(reach[-1].union(b for b, c in enumerate(counts) if c))
+        letters = {b for b, c in enumerate(counts) if c}
+        reach.append(reach[-1] if letters <= reach[-1] else reach[-1] | letters)
     level = {b: chr(b) for b in reach[depth]}
     out = ["".join(map(level.__getitem__, system.axiom))]
     for k in range(1, depth + 1):

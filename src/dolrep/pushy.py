@@ -20,11 +20,9 @@ the proof sketch and the costs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
-from .morphism import D0LSystem, functional_cycles
+from .morphism import D0LSystem, Morphism, functional_cycles, phase_periods
 from .words import Word, primitive_root
 
 
@@ -33,45 +31,12 @@ class Side(Enum):
     RIGHT = "right"
 
 
-@dataclass(frozen=True)
-class SideGraph:
-    """Functional graph on unbounded letters; edges carry bounded-letter labels."""
-
-    side: Side
-    vertices: tuple[int, ...]
-    edges: dict[int, tuple[int, Word]]
-
-    def target(self, a: int) -> int:
-        return self.edges[a][0]
-
-    def label(self, a: int) -> Word:
-        return self.edges[a][1]
-
-
-@dataclass(frozen=True)
-class SideCycle:
-    """A cycle of a side graph; edge i runs vertices[i] -> vertices[(i+1) % k]."""
-
-    side: Side
-    vertices: tuple[int, ...]
-    labels: tuple[Word, ...]
-
-
-class BoundedPeriodicFactor(NamedTuple):
-    """The period pumped at one phase of a side cycle: the tail after
-    cycle.vertices[phase], with the cycle read from that vertex on."""
-
-    side: Side
-    cycle: SideCycle
-    phase: int
-    period: Word
-
-
-def build_side_graph(system: D0LSystem, side: Side) -> SideGraph:
-    """Graph of unbounded letters to the given side.
+def build_side_graph(system: D0LSystem, side: Side) -> dict[int, tuple[int, Word]]:
+    """Graph of unbounded letters to the given side, as edges a -> (b, label).
 
     Right side: phi(a) = v b u with b the last unbounded letter and u the
     bounded suffix after it; edge a -> b labeled u.  Left side mirrored.
+    The keys are the unbounded letters in increasing order.
     """
     phi = system.morphism
     if phi.is_erasing():
@@ -89,15 +54,13 @@ def build_side_graph(system: D0LSystem, side: Side) -> SideGraph:
         else:
             j = positions[0]
             edges[a] = (img[j], img[:j])
-    return SideGraph(side, tuple(sorted(cls.unbounded)), edges)
+    return edges
 
 
-def cycles(graph: SideGraph) -> list[SideCycle]:
-    """All cycles of the functional graph, entry vertex = lowest id on the cycle."""
-    return [
-        SideCycle(graph.side, vertices, tuple(graph.label(v) for v in vertices))
-        for vertices in functional_cycles(graph.vertices, graph.target)
-    ]
+def cycles(graph: dict[int, tuple[int, Word]]) -> list[tuple[int, ...]]:
+    """Cycles of a side graph, each from its least vertex along the edges,
+    ordered by that vertex."""
+    return functional_cycles(graph, lambda a: graph[a][0])
 
 
 def is_pushy(system: D0LSystem) -> bool:
@@ -105,10 +68,11 @@ def is_pushy(system: D0LSystem) -> bool:
     return bool(bounded_periodic_classes(system))
 
 
-def _cycle_period_word(system: D0LSystem, cycle: SideCycle) -> Word:
-    """Primitive period of the bounded-letter tail pumped by the cycle's first phase.
+def _cycle_period_word(phi: Morphism, side: Side, labels: tuple[Word, ...]) -> Word:
+    """Primitive period of the bounded-letter tail pumped by a cycle's first phase.
 
-    Writing u_{i+1} for labels[i], the word accumulated per cycle round is
+    labels[i] is the label of the cycle's edge i.  Writing u_{i+1} for
+    labels[i], the word accumulated per cycle round is
     u = u_k phi(u_{k-1}) ... phi^{k-1}(u_1) on the right, mirrored on the
     left; Horner's rule builds it with k applications of phi.  The orbit u,
     phi(u), ... is finite, as u is over bounded letters, and one walk kept
@@ -118,11 +82,10 @@ def _cycle_period_word(system: D0LSystem, cycle: SideCycle) -> Word:
     iterate order on the left).  Block j is read off the list at index jk,
     folded into [s, s + t), so no iterate is expanded twice.
     """
-    phi = system.morphism
-    k = len(cycle.vertices)
+    k = len(labels)
     u: Word = ()
-    for label in cycle.labels:
-        u = label + phi(u) if cycle.side is Side.RIGHT else phi(u) + label
+    for label in labels:
+        u = label + phi(u) if side is Side.RIGHT else phi(u) + label
 
     orbit: list[Word] = []
     seen: dict[Word, int] = {}
@@ -134,21 +97,21 @@ def _cycle_period_word(system: D0LSystem, cycle: SideCycle) -> Word:
     t = len(orbit) - s
     l0 = -(-s // k)
     blocks = [orbit[s + (j * k - s) % t] for j in range(l0 + 1, l0 + 1 + math.lcm(t, k) // k)]
-    if cycle.side is Side.LEFT:
+    if side is Side.LEFT:
         blocks.reverse()
     return primitive_root(tuple(c for b in blocks for c in b))
 
 
-def bounded_periodic_classes(system: D0LSystem) -> list[BoundedPeriodicFactor]:
+def bounded_periodic_classes(system: D0LSystem) -> list[Word]:
     """Primitive periods of all infinite periodic factors over bounded letters.
 
     Cycles whose labels are all empty pump nothing.  The side graphs exist
     for non-erasing systems only, which have no mortal letter, so any
     non-empty label pumps.  A qualifying cycle of length k contributes one
-    emission per phase r = 0, ..., k - 1, the tail pumped from vertices[r];
-    every emission of a cycle shares its one ``SideCycle`` and carries r.
-    For k > 1 the phases' periods are morphism images of one another, not
-    conjugates, so every phase is a class of its own.
+    period per phase r = 0, ..., k - 1, the tail pumped from its r-th
+    vertex; the left side's cycles come first, each side's in the order of
+    ``cycles``.  For k > 1 the phases' periods are morphism images of one
+    another, not conjugates, so every phase is a class of its own.
 
     Only phase 0 runs ``_cycle_period_word``; phase r's period is the
     primitive root of phi(P_{r-1}).  On the right, with
@@ -172,20 +135,16 @@ def bounded_periodic_classes(system: D0LSystem) -> list[BoundedPeriodicFactor]:
 
     Cost per qualifying cycle: k applications of phi for u, s + t for the
     orbit, and one application of phi plus one primitive root per further
-    phase; an emission adds O(1) to that, as no phase copies the cycle.
+    phase.
     """
     phi = system.morphism
     if not phi.classification.unbounded:
         return []
-    out: list[BoundedPeriodicFactor] = []
+    out: list[Word] = []
     for side in (Side.LEFT, Side.RIGHT):
         graph = build_side_graph(system, side)
         for cycle in cycles(graph):
-            if not any(cycle.labels):
-                continue
-            period = _cycle_period_word(system, cycle)
-            for r in range(len(cycle.vertices)):
-                if r:
-                    period = primitive_root(phi(period))
-                out.append(BoundedPeriodicFactor(side, cycle, r, period))
+            labels = tuple(graph[a][1] for a in cycle)
+            if any(labels):
+                out += phase_periods(phi, _cycle_period_word(phi, side, labels), len(cycle))
     return out

@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterator, Sequence
 
-from .morphism import D0LSystem, Morphism, functional_cycles
+from .morphism import D0LSystem, Morphism, functional_cycles, phase_periods
 from .words import Word, primitive_root
 
 
@@ -174,11 +174,6 @@ def unbounded_periodic_classes(system: D0LSystem) -> list[Word]:
     words: list[Word] = []
     for cycle in first_letter_candidates(system):
         v = lando_periodic_check(phi, len(cycle), cycle[0])
-        if v is None:
-            continue
-        w = primitive_root(v)
-        words.append(w)
-        for _ in cycle[1:]:
-            w = primitive_root(phi(w))
-            words.append(w)
+        if v is not None:
+            words += phase_periods(phi, primitive_root(v), len(cycle))
     return sorted(words)

@@ -334,3 +334,54 @@ def test_numpy_is_loaded_only_by_the_oracle(tmp_path):
         "numpy_after_oracle": True,
         "oracle_agrees": True,
     }
+
+
+def _main_after(prelude: str, *args: str) -> subprocess.CompletedProcess:
+    """`dolrep analyze ARGS` through cli.main in a fresh interpreter, after
+    the prelude statement."""
+    code = f"{prelude}\nfrom dolrep.cli import main\nmain()\n"
+    return subprocess.run(
+        [sys.executable, "-c", code, "analyze", *args],
+        capture_output=True,
+        text=True,
+        env=_src_env(),
+        timeout=120,
+    )
+
+
+def _address_space_limit(megabytes: int) -> str:
+    """A prelude that caps the child's own address space."""
+    return f"import resource; resource.setrlimit(resource.RLIMIT_AS, ({megabytes} << 20, {megabytes} << 20))"
+
+
+def test_verify_without_numpy_exits_4(tmp_path):
+    proc = _main_after("import sys; sys.modules['numpy'] = None", _write(tmp_path, "g.dol", G_FILE), "--verify")
+    assert proc.returncode == 4, proc.stderr
+    assert "representative 1122" in proc.stdout
+    assert proc.stderr.startswith("error: oracle: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+def test_verify_depth_over_the_budget_exits_4(tmp_path):
+    # Once, a -> a at depth 10^8 ended in a MemoryError traceback under 1 GB.
+    path = _write(tmp_path, "a.dol", "alphabet: a\naxiom: a\na -> a\n")
+    proc = _main_after(_address_space_limit(1024), path, "--verify", "--depth", "100000000")
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr == (
+        "error: oracle: depth 100000000 exceeds the 1000000-letter budget (one iterate is kept per depth)\n"
+    )
+
+
+def _family_b_file(k: int) -> str:
+    """a -> a b1 c1, b_i -> b_(i+1) b_(i+1), b_k -> z, z -> z, c_i -> c_(i+1),
+    c_k -> a, axiom a: its analysis builds words of about 2^k letters."""
+    bs, cs = [f"b{i}" for i in range(1, k + 1)], [f"c{i}" for i in range(1, k + 1)]
+    lines = ["alphabet: a " + " ".join(bs + cs) + " z", "axiom: a", "a -> a b1 c1"]
+    lines += [f"{b} -> {n} {n}" for b, n in zip(bs, bs[1:])] + [f"b{k} -> z", "z -> z"]
+    lines += [f"{c} -> {n}" for c, n in zip(cs, cs[1:])] + [f"c{k} -> a"]
+    return "\n".join(lines) + "\n"
+
+
+def test_out_of_memory_exits_5(tmp_path):
+    proc = _main_after(_address_space_limit(200), _write(tmp_path, "b20.dol", _family_b_file(20)))
+    assert proc.returncode == 5, proc.stderr
+    assert proc.stderr == "error: out of memory\n"

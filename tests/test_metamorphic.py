@@ -3,20 +3,33 @@
 No oracle is needed: the classes are a property of the language's factors,
 so they cannot depend on the names or declaration order of the letters, and
 they survive dropping the axiom from the language (replacing w by phi(w)
-loses one word, and with it only finitely many factors).
+loses one word, and with it only finitely many factors).  Reversing every
+image and the axiom reverses the language, and with it every class; and phi
+maps the powers of a class onto powers of the primitive root of its image.
 """
 
 import random
 
-from dolrep import Alphabet, D0LSystem, Morphism, analyze
+from dolrep import (
+    Alphabet,
+    AnalysisReport,
+    D0LSystem,
+    Morphism,
+    analyze,
+    canonical_rotation,
+    primitive_root,
+)
 from corpus_util import random_system
 
 
-def _classes(system: D0LSystem) -> set[tuple[frozenset[tuple[str, ...]], str]]:
-    """Each class as (its rotations over symbol names, source): free of letter ids."""
+def _classes(
+    system: D0LSystem, report: AnalysisReport | None = None
+) -> set[tuple[frozenset[tuple[str, ...]], str]]:
+    """Each class as (its rotations over symbol names, source): free of letter
+    ids.  Analyses the system unless its report is given."""
     symbols = system.alphabet.symbols
     out = set()
-    for cls in analyze(system).classes:
+    for cls in (report or analyze(system)).classes:
         word = tuple(symbols[a] for a in cls.representative)
         out.add((frozenset(word[i:] + word[:i] for i in range(len(word))), cls.source.value))
     return out
@@ -25,6 +38,14 @@ def _classes(system: D0LSystem) -> set[tuple[frozenset[tuple[str, ...]], str]]:
 def _systems(seed: int, count: int) -> list[D0LSystem]:
     rng = random.Random(seed)
     return [random_system(rng, max_letters=12, min_letters=5) for _ in range(count)]
+
+
+def _cyclic(length: int) -> D0LSystem:
+    """a_i -> a_(i+1) for i < length - 1, a_(length-1) -> a_0 a_0, axiom a_0:
+    one first-letter cycle through every letter, each letter a class."""
+    alphabet = Alphabet(tuple(f"a{i}" for i in range(length)))
+    images = tuple((i + 1,) for i in range(length - 1)) + ((0, 0),)
+    return D0LSystem(Morphism(alphabet, alphabet, images), (0,))
 
 
 def test_classes_invariant_under_renaming_and_reordering():
@@ -59,3 +80,35 @@ def test_classes_invariant_under_advancing_the_axiom():
         compared += 1
         repetitive += bool(classes)
     assert compared >= 800 and repetitive >= 100, (compared, repetitive)
+
+
+def test_classes_mirror_under_reversal():
+    # Reversing every image and the axiom reverses every word of the
+    # language, so each class becomes its reversal with the same source;
+    # the side graphs swap their left and right sides.
+    repetitive = pushy = 0
+    for system in _systems(6204, 3000) + [_cyclic(50)]:
+        images = tuple(img[::-1] for img in system.morphism.images)
+        mirror = D0LSystem(Morphism(system.alphabet, system.alphabet, images), system.axiom[::-1])
+        report = analyze(system)
+        classes = _classes(system, report)
+        expected = {(frozenset(word[::-1] for word in words), source) for words, source in classes}
+        assert _classes(mirror) == expected, system
+        repetitive += report.repetitive
+        pushy += report.pushy
+    assert repetitive >= 550 and pushy >= 330, (repetitive, pushy)
+
+
+def test_classes_closed_under_the_morphism():
+    # v^k is a factor for every k, so phi(v)^k = phi(v^k) is one too: the
+    # primitive root of a non-empty phi(v) names a class as well.
+    checked = 0
+    for system in _systems(6204, 3000) + [_cyclic(50)]:
+        phi = system.morphism
+        representatives = {cls.representative for cls in analyze(system).classes}
+        for v in representatives:
+            image = phi(v)
+            if image:
+                assert canonical_rotation(primitive_root(image)) in representatives, (system, v)
+                checked += 1
+    assert checked >= 800, checked

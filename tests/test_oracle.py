@@ -60,6 +60,37 @@ def test_budget_exit_builds_no_over_budget_iterate():
     assert peak < 5 * 2**20
 
 
+def test_depth_over_the_budget_builds_nothing():
+    # One iterate is kept per depth, so the letter budget bounds the depth as
+    # well: before the check, --depth 10^8 on a -> a ran out of memory.
+    system = make_system({"a": "a"}, "a")
+    assert len(_iterate_strings(system, 1000, 1000)) == 1001
+    tracemalloc.start()
+    try:
+        with pytest.raises(OracleResourceError, match="^depth 1001 exceeds the 1000-letter budget"):
+            observed_classes(system, OracleParams(depth=1001, max_word_len=1000))
+        with pytest.raises(OracleResourceError, match="^depth 100000000 exceeds the 1000000-letter budget"):
+            factors_up_to(system, OracleParams(depth=10**8))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_deep_iterates_share_their_reach_sets():
+    # reach[j] stops growing once a step adds no letter; a set per depth held
+    # 200 bytes or more per depth
+    system = make_system({"a": "b", "b": "a"}, "a")
+    tracemalloc.start()
+    try:
+        texts = _iterate_strings(system, 30_000, 10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert texts[-2:] == ["\x01", "\x00"]
+    assert peak < 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
 def test_max_power_system_g(system_g):
     v = system_g.alphabet.word("1221")
     assert max_power(system_g, v, OracleParams(depth=6)) >= 2

@@ -21,7 +21,6 @@ from dolrep import (
     primitive_root,
 )
 from dolrep import pushy
-from dolrep.pushy import SideCycle
 from corpus_util import random_system
 from word_util import factor_occurrences
 
@@ -29,19 +28,19 @@ from word_util import factor_occurrences
 def test_side_graph_system_g(system_g):
     alph = system_g.alphabet
     right = build_side_graph(system_g, Side.RIGHT)
-    assert right.vertices == (0,)
-    assert right.edges[0] == (0, alph.word("12"))
+    assert list(right) == [0]
+    assert right[0] == (0, alph.word("12"))
     left = build_side_graph(system_g, Side.LEFT)
-    assert left.edges[0] == (0, ())
+    assert left[0] == (0, ())
 
 
 def test_side_graph_system_h(system_h):
     alph = system_h.alphabet
     left = build_side_graph(system_h, Side.LEFT)
-    assert left.edges[alph.letter("0")] == (alph.letter("0"), ())
-    assert left.edges[alph.letter("3")] == (alph.letter("3"), alph.word("12"))
+    assert left[alph.letter("0")] == (alph.letter("0"), ())
+    assert left[alph.letter("3")] == (alph.letter("3"), alph.word("12"))
     right = build_side_graph(system_h, Side.RIGHT)
-    assert all(label == () for _, label in right.edges.values())
+    assert all(label == () for _, label in right.values())
 
 
 def test_side_graph_requires_nonerasing():
@@ -53,23 +52,21 @@ def test_side_graph_requires_nonerasing():
 def test_cycles_system_g(system_g):
     right = build_side_graph(system_g, Side.RIGHT)
     cycs = cycles(right)
-    assert len(cycs) == 1
-    assert cycs[0].vertices == (0,)
-    assert cycs[0].labels == (system_g.alphabet.word("12"),)
+    assert cycs == [(0,)]
+    assert right[0][1] == system_g.alphabet.word("12")
 
 
 def test_cycles_system_h_left(system_h):
     left = build_side_graph(system_h, Side.LEFT)
     cycs = cycles(left)
-    assert [c.vertices for c in cycs] == [(0,), (3,)]
+    assert cycs == [(0,), (3,)]
 
 
 def test_cycles_two_vertex_loop():
     system = make_system({"a": "bb", "b": "aa"}, "a")
     right = build_side_graph(system, Side.RIGHT)
     cycs = cycles(right)
-    assert len(cycs) == 1
-    assert cycs[0].vertices == (0, 1)
+    assert cycs == [(0, 1)]
 
 
 def test_cycles_with_tail():
@@ -77,7 +74,7 @@ def test_cycles_with_tail():
     system = make_system({"0": "0123", "1": "2", "2": "1", "3": "123"}, "0")
     right = build_side_graph(system, Side.RIGHT)
     cycs = cycles(right)
-    assert [c.vertices for c in cycs] == [(3,)]
+    assert cycs == [(3,)]
 
 
 def test_is_pushy_examples(system_g, system_h, thue_morse):
@@ -88,30 +85,21 @@ def test_is_pushy_examples(system_g, system_h, thue_morse):
 
 def test_bounded_classes_system_g(system_g):
     alph = system_g.alphabet
-    emissions = bounded_periodic_classes(system_g)
-    assert len(emissions) == 1
-    side, cycle, phase, period = emissions[0]
-    assert side is Side.RIGHT
-    assert cycle.vertices == (0,) and phase == 0
-    assert period == alph.word("2112")  # phi(12).phi^2(12)
+    # one right self-loop at 0, labelled 12
+    assert bounded_periodic_classes(system_g) == [alph.word("2112")]  # phi(12).phi^2(12)
 
 
 def test_bounded_classes_system_h(system_h):
     alph = system_h.alphabet
-    emissions = bounded_periodic_classes(system_h)
-    assert len(emissions) == 1
-    side, cycle, phase, period = emissions[0]
-    assert side is Side.LEFT
-    assert cycle.vertices == (alph.letter("3"),) and phase == 0
-    assert period == alph.word("1221")  # phi^2(12).phi(12)
+    # one left self-loop at 3, labelled 12: the blocks in descending iterate order
+    assert bounded_periodic_classes(system_h) == [alph.word("1221")]  # phi^2(12).phi(12)
 
 
 def test_bounded_classes_fixed_bounded_letter():
     # loop labeled "1" with phi(1) = 1: s=0, t=1, one block phi(1)
     system = make_system({"a": "a1", "1": "1"}, "a")
-    emissions = bounded_periodic_classes(system)
-    periods = {(side, p) for side, *_, p in emissions}
-    assert periods == {(Side.RIGHT, system.alphabet.word("1"))}
+    assert bounded_periodic_classes(system) == [system.alphabet.word("1")]
+    assert [label for _, label in build_side_graph(system, Side.LEFT).values()] == [()]
 
 
 def test_bounded_classes_one_per_cycle_phase():
@@ -119,11 +107,9 @@ def test_bounded_classes_one_per_cycle_phase():
     # 1^l while the tail at b pumps 2^l, so both phases must be emitted
     system = make_system({"a": "b", "b": "a1", "1": "2", "2": "1"}, "a")
     alph = system.alphabet
-    emissions = bounded_periodic_classes(system)
-    assert {(e.cycle.vertices[e.phase], e.period) for e in emissions} == {
-        (alph.letter("a"), alph.word("1")),
-        (alph.letter("b"), alph.word("2")),
-    }
+    # phase 0 starts at the cycle's least vertex a, phase 1 at b
+    assert cycles(build_side_graph(system, Side.RIGHT)) == [(alph.letter("a"), alph.letter("b"))]
+    assert bounded_periodic_classes(system) == [alph.word("1"), alph.word("2")]
     # the pumped tails really appear: phi^(2l)(a) ends in 1^l, phi^(2l+2)(b) in 2^l
     phi = system.morphism
     assert phi.iterate(alph.word("a"), 8)[-4:] == alph.word("1111")
@@ -139,7 +125,7 @@ def test_bounded_classes_all_over_bounded_letters():
         if system.morphism.is_erasing():
             continue
         cls = classify_letters(system.morphism)
-        for *_, period in bounded_periodic_classes(system):
+        for period in bounded_periodic_classes(system):
             assert period
             assert all(a in cls.bounded for a in period)
 
@@ -166,7 +152,7 @@ def test_suffix_pattern_accumulates_system_g(system_g):
 def test_emitted_periods_are_observed_factors(system_g, system_h):
     # P^6 occurs in some iterate at desk scale
     for system, depth in ((system_g, 14), (system_h, 14)):
-        for *_, period in bounded_periodic_classes(system):
+        for period in bounded_periodic_classes(system):
             found = False
             for n in range(depth + 1):
                 text = system.morphism.iterate(system.axiom, n)
@@ -177,8 +163,8 @@ def test_emitted_periods_are_observed_factors(system_g, system_h):
 
 
 def test_bounded_classes_canonical_forms(system_g, system_h):
-    g_cls = canonical_rotation(primitive_root(bounded_periodic_classes(system_g)[0].period))
-    h_cls = canonical_rotation(primitive_root(bounded_periodic_classes(system_h)[0].period))
+    g_cls = canonical_rotation(primitive_root(bounded_periodic_classes(system_g)[0]))
+    h_cls = canonical_rotation(primitive_root(bounded_periodic_classes(system_h)[0]))
     assert g_cls == system_g.alphabet.word("1122")
     assert h_cls == system_h.alphabet.word("1122")
 
@@ -187,16 +173,9 @@ def test_bounded_classes_canonical_forms(system_g, system_h):
 # before the phases were derived from one another by phi.
 
 
-def _reference_rotations(cycle):
-    k = len(cycle.vertices)
-    return [
-        SideCycle(
-            cycle.side,
-            cycle.vertices[r:] + cycle.vertices[:r],
-            cycle.labels[r:] + cycle.labels[:r],
-        )
-        for r in range(k)
-    ]
+def _reference_rotations(cycle, labels):
+    """(vertices, labels) of the cycle read from each of its vertices in turn."""
+    return [(cycle[r:] + cycle[:r], labels[r:] + labels[:r]) for r in range(len(cycle))]
 
 
 def _reference_orbit_tail_period(system, w):
@@ -212,12 +191,11 @@ def _reference_orbit_tail_period(system, w):
     return s, j - s
 
 
-def _reference_cycle_period_word(system, cycle):
+def _reference_cycle_period_word(system, side, labels):
     phi = system.morphism
-    k = len(cycle.vertices)
-    labels = cycle.labels
+    k = len(labels)
     parts = []
-    if cycle.side is Side.RIGHT:
+    if side is Side.RIGHT:
         for j in range(k):
             parts.append(phi.iterate(labels[k - 1 - j], j))
     else:
@@ -233,7 +211,7 @@ def _reference_cycle_period_word(system, cycle):
     for _ in range(l0 + 1, l1 + 1):
         blocks.append(w)
         w = phi.iterate(w, k)
-    if cycle.side is Side.LEFT:
+    if side is Side.LEFT:
         blocks.reverse()
     period = tuple(c for b in blocks for c in b)
     return primitive_root(period)
@@ -245,11 +223,13 @@ def _reference_bounded_periodic_classes(system):
         return [], 0
     out, long_cycles = [], 0
     for side in (Side.LEFT, Side.RIGHT):
-        for cycle in cycles(build_side_graph(system, side)):
-            if any(b not in cls.mortal for label in cycle.labels for b in label):
-                long_cycles += len(cycle.vertices) >= 2
-                for phase in _reference_rotations(cycle):
-                    out.append((side, phase, _reference_cycle_period_word(system, phase)))
+        graph = build_side_graph(system, side)
+        for cycle in cycles(graph):
+            labels = tuple(graph[a][1] for a in cycle)
+            if any(b not in cls.mortal for label in labels for b in label):
+                long_cycles += len(cycle) >= 2
+                for _, phase_labels in _reference_rotations(cycle, labels):
+                    out.append(_reference_cycle_period_word(system, side, phase_labels))
     return out, long_cycles
 
 
@@ -267,10 +247,9 @@ def test_derived_phases_match_per_phase_reference():
     for system in systems:
         expected, found = _reference_bounded_periodic_classes(system)
         long_cycles += found
-        emissions = bounded_periodic_classes(system)
-        assert len(emissions) == len(expected), system
-        for (side, cycle, phase, period), (ref_side, ref_cycle, ref_period) in zip(emissions, expected):
-            assert side is ref_side and _reference_rotations(cycle)[phase] == ref_cycle, system
+        periods = bounded_periodic_classes(system)
+        assert len(periods) == len(expected), system
+        for period, ref_period in zip(periods, expected):
             assert is_primitive(period), system
             assert canonical_rotation(period) == canonical_rotation(ref_period), system
     assert long_cycles >= 500
@@ -305,19 +284,21 @@ def test_one_period_computation_per_cycle(monkeypatch, side):
     calls = []
     original = pushy._cycle_period_word
 
-    def counting(system, cycle):
-        calls.append(cycle.vertices)
-        return original(system, cycle)
+    def counting(phi, cycle_side, labels):
+        calls.append((cycle_side, labels))
+        return original(phi, cycle_side, labels)
 
     monkeypatch.setattr(pushy, "_cycle_period_word", counting)
     size = 50
-    emissions = bounded_periodic_classes(_family_c(size, side))
-    assert len(emissions) == size
-    assert calls == [tuple(range(size))]
+    system = _family_c(size, side)
+    periods = bounded_periodic_classes(system)
+    assert len(periods) == size
+    # the one labelled edge leaves the cycle's last vertex a_(L-1)
+    assert calls == [(side, ((),) * (size - 1) + ((size,),))]
 
 
 @pytest.mark.parametrize("side", [Side.RIGHT, Side.LEFT])
-def test_family_c_emissions_share_one_cycle(side):
+def test_family_c_phases_copy_no_cycle(side):
     # a rotated copy of the L-cycle per phase cost O(L^2): 246 MB at L = 4000
     size = 4000
     system = _family_c(size, side)
@@ -329,7 +310,6 @@ def test_family_c_emissions_share_one_cycle(side):
         tracemalloc.stop()
     assert [(c.representative, c.source.value) for c in report.classes] == [((size,), "bounded")]
     assert peak < 20 * 2**20, f"peak {peak / 2**20:.1f} MB"
-    emissions = bounded_periodic_classes(system)
-    assert [e.phase for e in emissions] == list(range(size))
-    assert all(e.cycle is emissions[0].cycle for e in emissions)
-    assert emissions[0].cycle.vertices == tuple(range(size))
+    assert cycles(build_side_graph(system, side)) == [tuple(range(size))]
+    # one period per phase, each the b of the one bounded letter
+    assert bounded_periodic_classes(system) == [(size,)] * size
