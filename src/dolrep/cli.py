@@ -17,11 +17,16 @@ error, 3 oracle disagreement under --verify, 4 the oracle could not run under
 5 out of memory (a MemoryError), 141 (128 + SIGPIPE, what a shell shows for
 a filter stopped by SIGPIPE) when the reader of standard output closes it
 early, as `dolrep analyze FILE --json | head -1` does.
+
+Under --verify the oracle tracks factors up to max(--max-len, the length of
+the longest reported representative): a class longer than --max-len would
+otherwise be invisible to the oracle and read as a disagreement.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -229,12 +234,13 @@ def run(argv: Sequence[str]) -> int:
         print(format_report(report), end="")
 
     if args.verify:
+        engine_reps = {cls.representative for cls in report.classes}
+        params = dataclasses.replace(params, max_len=max([params.max_len, *map(len, engine_reps)]))
         try:
             observed = observed_classes(system, params)
         except (OracleResourceError, ImportError) as exc:  # numpy is imported by the oracle's scan
             print(f"error: oracle: {exc}", file=sys.stderr)
             return 4
-        engine_reps = {cls.representative for cls in report.classes}
         stream = sys.stderr if args.json else sys.stdout
         if observed == engine_reps:
             print("oracle: agreement", file=stream)

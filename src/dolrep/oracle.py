@@ -20,21 +20,27 @@ The maximal powers behind `observed_classes` come from a vectorised scan
 (`_accumulate_run_powers`): for each period l <= max_len, numpy finds the
 maximal l-periodic stretches of a text that reach the power threshold T
 (runs of at least (T - 1) * l letter equalities, found by eroding the
-equality mask with shifted ANDs), lists every (unit, power) pair of power
->= T they hold and groups the pairs by unit with an exact sort, so Python
-code runs once per distinct unit, not per stretch or position.  Shorter
-repeats are never listed: the verdict needs only the powers >= T (proof in
-`observed_classes`).  Finding the stretches costs O(max_len * n log(T *
-max_len)) numpy work per text of n letters, and grouping O(l) per pair of
-power >= T and period l; the scan holds the letters at one byte each when
-every id is below 256, and groups pairs in fixed-size chunks.
-`observed_classes` scans batches of consecutive iterates joined by a
-sentinel that is no letter id, one scan per batch, dropping the units that
-hold the sentinel (a sentinel-free unit's stretch cannot reach one, so the
-powers are those of a per-iterate scan).  A batch is never longer than the
-longest iterate, so no scan array is either, and the fixed numpy cost per
-scan is paid per batch, not per iterate: the scan's cost follows the total
-length of the iterates.
+equality mask with shifted ANDs), groups them by the unit each starts with
+in one exact sort, and expands only the longest stretch of each start unit
+into its <= l rotations and their powers: a longer stretch with the same
+start unit holds the same rotations, each at a power at least as high.  A
+maximal repetition is fully described by its period, start and length
+(Kolpakov & Kucherov, FOCS 1999), so Python code runs per distinct start
+unit, not per position.  Shorter repeats are never listed: the verdict
+needs only the powers >= T (proof in `observed_classes`).  Finding the
+stretches costs O(max_len * n log(T * max_len)) numpy work per text of n
+letters, and grouping a sort over ceil(l * itemsize / 8) + 1 keys per
+stretch of power >= T and period l; the scan holds the letters at one byte
+each when every id is below 256, and groups stretches in fixed-size chunks.
+`observed_classes` first drops every iterate that is a prefix or a suffix
+of the next one in its half of the depths (a factor of a text holds no
+higher power than the text), then scans batches of consecutive iterates
+joined by a sentinel that is no letter id, one scan per batch, dropping the
+units that hold the sentinel (a sentinel-free unit's stretch cannot reach
+one, so the powers are those of a per-iterate scan).  A batch is never
+longer than the longest iterate, so no scan array is either, and the fixed
+numpy cost per scan is paid per batch, not per iterate: the scan's cost
+follows the total length of the iterates it keeps.
 
 numpy is imported by the scan's functions, not by this module, so importing
 dolrep, `analyze` and the CLI without `--verify` never load it; the first
@@ -160,20 +166,25 @@ def max_power(system: D0LSystem, v: Word, params: OracleParams = OracleParams())
     return best
 
 
-# Unit letters grouped at a time (pairs per chunk times the period): keeps
-# the scratch arrays of one chunk below a MB whatever the text length.
+# Unit letters grouped at a time (stretches per chunk times the period):
+# keeps the scratch arrays of one chunk below a MB whatever the text length.
 _CHUNK_LETTERS = 1 << 15
 
 
-def _letter_array(text: str) -> np.ndarray:
-    """The letter ids of text, one byte each when every id is below 256."""
+def _letter_arrays(text: str) -> tuple[np.ndarray, np.ndarray]:
+    """The letter ids of text, one byte each when every id is below 256 (else
+    four), and words, where words[b] is the 8 letter bytes from byte b on as
+    one big-endian integer, zero past the end.  Both view one buffer."""
     import numpy as np
 
     try:
-        return np.frombuffer(text.encode("latin-1"), dtype=np.uint8)
+        data, dtype = text.encode("latin-1"), np.uint8
     except UnicodeEncodeError:
         # "surrogatepass" accepts the ids 0xD800-0xDFFF that chr() allows
-        return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+        data, dtype = text.encode("utf-32-le", "surrogatepass"), np.dtype("<u4")
+    data += bytes(8)
+    letters = np.frombuffer(data, dtype=dtype, count=len(text))
+    return letters, np.ndarray((len(data) - 7,), dtype=">u8", buffer=data, strides=(1,))
 
 
 def _accumulate_run_powers(text: str, max_len: int, min_power: int, powers: dict[str, int]) -> None:
@@ -182,34 +193,46 @@ def _accumulate_run_powers(text: str, max_len: int, min_power: int, powers: dict
     min_power >= 2.
 
     For each period l, the maximal l-periodic stretches are the runs of
-    text[i] == text[i + l]: a run [r, e) of length at least l holds the
-    powers of the l units starting at r + d, d < min(l, e - r - l + 1), with
-    power (e - (r + d) + l) // l.  Power min_power or more needs a run of at
-    least k = (min_power - 1) * l equalities, so the equality mask is first
-    eroded to "k equalities in a row" by ceil(log2 k) shifted ANDs: a run
-    [r, e) becomes [r, e - k + 1), holding the min(l, e - r - k + 1) units
-    of power >= min_power, and shorter runs vanish.  These (position, power)
-    pairs are built at once, then sorted by unit (one `np.lexsort` over the
-    unit's l letter columns, so grouping is exact) and reduced to the
-    highest power of each distinct unit; only distinct units reach `powers`.
-    The periods stop at the first l with no room for min_power * l letters.
+    text[i] == text[i + l]: a run [r, e) of eq is the stretch [r, e + l) of
+    L = e - r + l letters, which holds the powers of the l units starting at
+    r + d, d < min(l, L - l + 1), with power (L - d) // l.  Power min_power
+    or more needs a run of at least k = (min_power - 1) * l equalities, so
+    the equality mask is first eroded to "k equalities in a row" by
+    ceil(log2 k) shifted ANDs: shorter runs vanish, and a stretch of L
+    letters leaves a run of L - k - l + 1 positions, the start of a unit of
+    power >= min_power.
+
+    The stretches are then grouped by the unit they start with, their first
+    l letters, and only the longest stretch of each start unit is expanded:
+    the count min(l, L - k - l + 1) of its units of power >= min_power and
+    the power (L - d) // l of each are non-decreasing in L, and the unit at
+    r + d is the same rotation of the start unit in every such stretch.  The
+    grouping is one exact sort (`np.lexsort`) whose keys are the unit's
+    l * itemsize letter bytes, read as ceil(l * itemsize / 8) big-endian
+    8-byte words from a stride-1 view of the bytes (the last word masked to
+    the unit), with L as the least key, so the last stretch of each group
+    is its longest.  Rotations of one another found under different start
+    units merge in `powers` by max.  The periods stop at the first l with no
+    room for min_power * l letters.
 
     Cost per call on a text of n letters: numpy work O(n log(min_power *
     max_len)) per period to find the stretches, so O(max_len * n log(...))
-    in all, plus O(l) per pair of power >= min_power and period l to group
-    them; Python work per distinct such unit of each chunk.  Both follow
-    the stretches of power >= min_power, not every repeat in the text.
-    Memory: the letters at one byte each when every id is below 256 (else
-    four), a few masks of one byte per letter, int32 positions
-    (int64 only past 2**31 letters), the boundaries of the stretches of
-    power >= min_power of one period, and the scratch arrays of one chunk
-    of at most _CHUNK_LETTERS unit letters (one pair when l exceeds it).
+    in all, plus a sort over ceil(l * itemsize / 8) + 1 keys per stretch of
+    power >= min_power; Python work O(l) per distinct start unit of each
+    chunk.  Both follow the stretches of power >= min_power, not every
+    repeat in the text or every position in those stretches.  Memory: the
+    letters at one byte each when every id is below 256 (else four) and 8
+    zero bytes after them, a few masks of one byte per letter, int32
+    positions (int64 only past 2**31 letter bytes), the boundaries of the
+    stretches of power >= min_power of one period, and the keys of one chunk
+    of at most _CHUNK_LETTERS unit letters (one stretch when l exceeds it).
     """
     import numpy as np
 
     n = len(text)
-    letters = _letter_array(text)
-    index = np.int32 if n + max_len < 2**31 else np.int64  # positions, powers
+    letters, words = _letter_arrays(text)
+    size = letters.itemsize
+    index = np.int32 if (n + max_len) * size < 2**31 else np.int64  # positions, lengths, byte offsets
     for l in range(1, max_len + 1):
         k = (min_power - 1) * l
         m = n - l - k + 1  # positions that can start a stretch of power >= min_power
@@ -227,44 +250,30 @@ def _accumulate_run_powers(text: str, max_len: int, min_power: int, powers: dict
         del eq
         edges = np.flatnonzero(flags[1:] != flags[:-1]).astype(index)
         del flags
-        if not len(edges):
-            continue
-        starts, ends = edges[0::2], edges[1::2]
-        counts = ends - starts  # the units of power >= min_power
-        np.minimum(counts, l, out=counts)
-        ends += k - 1 + l  # the end of the stretch in text
-        firsts = np.cumsum(counts, dtype=index) - counts  # each stretch's first pair
-        total = int(firsts[-1] + counts[-1])
+        starts = edges[0::2]
+        lengths = edges[1::2] - starts + (k - 1 + l)  # the stretch lengths L
+        del edges
+        unit_bytes = l * size
+        last = unit_bytes - 8 * ((unit_bytes - 1) // 8)  # the unit bytes in its last word
+        mask = ((1 << 8 * last) - 1) << (64 - 8 * last)
         step = max(1, _CHUNK_LETTERS // l)
-        for lo in range(0, total, step):
-            hi = min(lo + step, total)
-            # the stretches a..b-1 hold the pairs lo..hi-1
-            a = int(np.searchsorted(firsts, lo, side="right")) - 1
-            b = int(np.searchsorted(firsts, hi))
-            s = np.repeat(np.arange(a, b), counts[a:b])[lo - firsts[a] : hi - firsts[a]]
-            pos = starts[s] + (np.arange(lo, hi, dtype=index) - firsts[s])
-            _keep_highest(text, letters, l, pos, (ends[s] - pos) // l, powers)
-
-
-def _keep_highest(
-    text: str, letters: np.ndarray, l: int, pos: np.ndarray, power: np.ndarray, powers: dict[str, int]
-) -> None:
-    """Raise powers[text[p : p + l]] to the highest power among the pairs."""
-    import numpy as np
-
-    columns = [letters[pos + j] for j in range(l)]
-    order = np.lexsort(columns)  # any key order puts equal units together
-    head = np.zeros(len(order), dtype=np.bool_)
-    head[0] = True
-    for column in columns:
-        column = column[order]
-        head[1:] |= column[1:] != column[:-1]
-    heads = np.flatnonzero(head)
-    highest = np.maximum.reduceat(power[order], heads)
-    for p, m in zip(pos[order[heads]].tolist(), highest.tolist()):
-        unit = text[p : p + l]
-        if powers.get(unit, 0) < m:
-            powers[unit] = m
+        for lo in range(0, len(starts), step):
+            pos, length = starts[lo : lo + step], lengths[lo : lo + step]
+            offsets = pos * size
+            keys = [words[offsets + j] for j in range(0, unit_bytes, 8)]
+            keys[-1] &= np.uint64(mask)
+            order = np.lexsort([length] + keys)
+            tail = np.zeros(len(order), dtype=np.bool_)  # the longest stretch of each start unit
+            tail[-1] = True
+            for key in keys:
+                key = key[order]
+                tail[:-1] |= key[1:] != key[:-1]
+            longest = order[tail]
+            for r, L in zip(pos[longest].tolist(), length[longest].tolist()):
+                for d in range(min(l, L - k - l + 1)):
+                    unit, power = text[r + d : r + d + l], (L - d) // l
+                    if powers.get(unit, 0) < power:
+                        powers[unit] = power
 
 
 def _batches(texts: list[str], sentinel: str, bound: int):
@@ -287,6 +296,13 @@ def _batches(texts: list[str], sentinel: str, bound: int):
         yield batch, longest
 
 
+def _undominated(texts: list[str]) -> list[str]:
+    """texts without each one that is a prefix or a suffix of the next."""
+    return [
+        text for text, after in zip(texts, texts[1:]) if not (after.startswith(text) or after.endswith(text))
+    ] + texts[-1:]
+
+
 def observed_classes(system: D0LSystem, params: OracleParams = OracleParams()) -> set[Word]:
     """Canonical primitive words whose powers keep growing at desk scale.
 
@@ -294,9 +310,15 @@ def observed_classes(system: D0LSystem, params: OracleParams = OracleParams()) -
     reaches `power_threshold` and strictly exceeds the maximal power seen up
     to depth ceil(depth/2); the growth condition filters bounded high powers.
 
-    The iterates are scanned in batches, iterates 0..ceil(depth/2) first and
-    then the rest, so the half-depth powers are a snapshot between the two.
-    A batch joins consecutive non-empty iterates with the sentinel
+    An iterate that is a prefix or a suffix of the next one in its half
+    (0..ceil(depth/2), or the rest) is not scanned: each of its factors is a
+    factor of that next iterate, so it holds no higher power, and the two
+    are on the same side of the half-depth snapshot.  Iterates that grow at
+    one end, as under a -> a x, are all dropped but the last of each half.
+
+    The iterates left are scanned in batches, iterates 0..ceil(depth/2)
+    first and then the rest, so the half-depth powers are a snapshot between
+    the two.  A batch joins consecutive non-empty iterates with the sentinel
     chr(|A|), which is no letter id, and is never longer than the longest
     iterate (one iterate alone may fill it), so no scan array is longer than
     that iterate; periods stop at the batch's longest iterate.  Units that
@@ -314,23 +336,24 @@ def observed_classes(system: D0LSystem, params: OracleParams = OracleParams()) -
     counting it as 1 changes nothing, or in [2, T), where P >= T > H gives
     the same verdict as 1.
 
-    Cost: the scans do O(max_len * n log(T * max_len)) numpy work over the
-    n letters of all the iterates, plus a fixed cost per (batch, period)
-    instead of per (iterate, period), and group only the units of power
-    >= T; the geometrically growing iterates of most systems fit in a few
-    batches.  Memory: the iterates, of which each batch takes the place
-    once joined, and the arrays of one scan, none longer than the longest
+    Cost: one comparison per letter to find the dominated iterates; the
+    scans do O(max_len * n log(T * max_len)) numpy work over the n letters
+    of the iterates kept, plus a fixed cost per (batch, period) instead of
+    per (iterate, period), and group only the stretches of power >= T; the
+    geometrically growing iterates of most systems fit in a few batches.
+    Memory: the iterates kept, of which each batch takes the place once
+    joined, and the arrays of one scan, none longer than the longest
     iterate.
     """
     texts = _iterate_strings(system, params.depth, params.max_word_len)
     half = -(-params.depth // 2)
     sentinel = chr(len(system.alphabet))
     bound = max(map(len, texts))
-    late = texts[half + 1 :]
-    del texts[half + 1 :]
+    early, late = _undominated(texts[: half + 1]), _undominated(texts[half + 1 :])
+    del texts
     threshold = params.power_threshold
     powers: dict[str, int] = {}
-    for batch, longest in _batches(texts, sentinel, bound):
+    for batch, longest in _batches(early, sentinel, bound):
         _accumulate_run_powers(batch, min(params.max_len, longest), threshold, powers)
     half_powers = dict(powers)
     for batch, longest in _batches(late, sentinel, bound):

@@ -226,6 +226,20 @@ def test_run_verify_disagreement_exit_code(tmp_path, capsys):
     assert "oracle: disagreement" in out
 
 
+def test_run_verify_class_longer_than_max_len(tmp_path, capsys):
+    # U -> U p0, p_i -> p_(i+1), p8 -> p0: the one class p0..p8 has 9 letters,
+    # past the default --max-len 8, so the oracle's factor-length bound
+    # follows the longest reported class instead of reading a disagreement.
+    cycle = [f"p{i}" for i in range(9)]
+    rules = "".join(f"{a} -> {b}\n" for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+    text = f"alphabet: U {' '.join(cycle)}\naxiom: U\nU -> U p0\n{rules}"
+    rc = run(["analyze", _write(tmp_path, "cycle9.dol", text), "--verify", "--depth", "45"])
+    out = capsys.readouterr().out
+    assert f"representative {' '.join(cycle)};" in out
+    assert rc == 0
+    assert "oracle: agreement" in out
+
+
 def test_run_verify_oracle_budget_exit_code(tmp_path, capsys):
     rc = run(["analyze", _write(tmp_path, "tripling.dol", TRIPLING_FILE), "--verify"])
     captured = capsys.readouterr()

@@ -4,8 +4,10 @@ No oracle is needed: the classes are a property of the language's factors,
 so they cannot depend on the names or declaration order of the letters, and
 they survive dropping the axiom from the language (replacing w by phi(w)
 loses one word, and with it only finitely many factors).  Reversing every
-image and the axiom reverses the language, and with it every class; and phi
-maps the powers of a class onto powers of the primitive root of its image.
+image and the axiom reverses the language, and with it every class; phi
+maps the powers of a class onto powers of the primitive root of its image;
+and the language of (phi, w) is the union of those of (phi^p, phi^i(w)),
+i < p, so its classes are theirs.
 """
 
 import random
@@ -19,6 +21,7 @@ from dolrep import (
     canonical_rotation,
     primitive_root,
 )
+from dolrep.morphism import compose
 from corpus_util import random_system
 
 
@@ -112,3 +115,29 @@ def test_classes_closed_under_the_morphism():
                 assert canonical_rotation(primitive_root(image)) in representatives, (system, v)
                 checked += 1
     assert checked >= 800, checked
+
+
+def test_classes_are_the_union_over_the_powers_of_the_morphism():
+    # L(phi, w) is the union over i < p of L(phi^p, phi^i(w)).  A word whose
+    # every power is a factor of L(phi, w) has every power in one of the p
+    # parts (each k has a part holding v^k, and some part holds v^k for
+    # infinitely many k, so for every k), so the classes of (phi, w) are
+    # the union of those of the systems (phi^p, phi^i(w)) with phi^i(w)
+    # non-empty, each with the same source.
+    systems = [random_system(random.Random(700_000 + i), max_letters=12, min_letters=3) for i in range(1500)]
+    repetitive = 0
+    for system in systems + [_cyclic(50)]:
+        phi = system.morphism
+        classes = _classes(system)
+        for p in (2, 3):
+            power = phi
+            for _ in range(p - 1):
+                power = compose(phi, power)
+            union, word = set(), system.axiom
+            for _ in range(p):
+                if word:
+                    union |= _classes(D0LSystem(power, word))
+                word = phi(word)
+            assert union == classes, (system, p)
+        repetitive += bool(classes)
+    assert repetitive >= 250, repetitive

@@ -393,3 +393,109 @@ def test_batched_scan_against_per_iterate_scan(monkeypatch):
             for t, u, v in zip(texts[half + 1 :], texts[half + 2 :], texts[half + 3 :])
         )
     assert min(seen.values()) >= 30, seen
+
+
+def _stretch_texts(rng: random.Random, base: int):
+    """Seeded texts of many stretches of one cyclic word, each at a random
+    phase and length, separated by single mismatches: a letter outside the
+    word, or one of its letters other than the one the period calls for."""
+    for _ in range(60):
+        word = [rng.randrange(3) for _ in range(rng.randint(1, 6))]
+        q, ids = len(word), []
+        for _ in range(rng.randint(1, 12)):
+            phase = rng.randrange(q)
+            ids += [word[(phase + i) % q] for i in range(rng.randint(1, 6 * q))]
+            expected = word[(phase + len(ids)) % q]  # a letter the period does not call for
+            ids.append(rng.choice([3] + [a for a in range(3) if a != expected]))
+        yield "".join(chr(base + i) for i in ids)
+
+
+def _square_stretch_lengths(text: str, l: int) -> dict[str, set[int]]:
+    """The lengths of the maximal l-periodic stretches of text of 2l letters
+    or more, by the unit each starts with."""
+    out: dict[str, set[int]] = {}
+    i = 0
+    while i < len(text) - l:
+        e = i
+        while e < len(text) - l and text[e] == text[e + l]:
+            e += 1
+        if e - i >= l:
+            out.setdefault(text[i : i + l], set()).add(e - i + l)
+        i = e + 1
+    return out
+
+
+@pytest.mark.parametrize("chunk_letters", [None, 8])
+def test_run_powers_of_stretches_of_one_word(monkeypatch, chunk_letters):
+    # One start unit begins many stretches of different lengths, and the
+    # rotations of one unit begin others, so every stretch but the longest
+    # of its start unit must be dropped without losing a power.
+    if chunk_letters is not None:
+        monkeypatch.setattr(oracle, "_CHUNK_LETTERS", chunk_letters)
+    rng = random.Random(29)
+    shared = 0
+    for base in (0, 70_000):
+        for text in _stretch_texts(rng, base):
+            max_len = rng.choice((1, 3, 6, 9))
+            expected = _reference_run_powers(text, max_len)
+            for min_power in (2, 3, 4):
+                powers = {}
+                _accumulate_run_powers(text, max_len, min_power, powers)
+                assert powers == {u: m for u, m in expected.items() if m >= min_power}, (text, max_len, min_power)
+            shared += any(
+                len(lengths) > 1
+                for l in range(1, max_len + 1)
+                for lengths in _square_stretch_lengths(text, l).values()
+            )
+    assert shared >= 60, shared  # a start unit began stretches of two lengths
+
+
+def _growing_system(rng: random.Random, kind: str) -> D0LSystem:
+    """Seeded systems whose axiom a's iterates grow at the front ("suffix":
+    a -> .. a), at the back ("prefix": a -> a ..), at both ends, or with the
+    side chosen per system and the axiom sometimes a b; the other letters'
+    images are random."""
+    n = rng.randint(2, 5)
+    images = [[rng.randrange(n) for _ in range(rng.randint(0, 3))] for _ in range(n)]
+    tail = images[0][: rng.randint(1, 3)] or [1]
+    axiom = [0]
+    if kind == "mixed":
+        kind = rng.choice(("prefix", "suffix", "both"))
+        if rng.random() < 0.3:
+            axiom.append(1)
+    images[0] = {"prefix": [0] + tail, "suffix": tail + [0], "both": [0] + tail + [0]}[kind]
+    return _system(images, axiom)
+
+
+@pytest.mark.parametrize("kind", ["prefix", "suffix", "mixed"])
+def test_dominated_iterates_are_skipped_without_changing_the_classes(monkeypatch, kind):
+    # An iterate that is a prefix or a suffix of the next one in its half of
+    # the depths holds no higher power than that one, so it is not scanned.
+    scanned = []
+
+    def scan(text, max_len, min_power, powers):
+        scanned.append(len(text) - text.count(sentinel))
+        _accumulate_run_powers(text, max_len, min_power, powers)
+
+    monkeypatch.setattr(oracle, "_accumulate_run_powers", scan)
+    rng = random.Random(31)
+    skipped = classes = 0
+    for _ in range(150):
+        system = _growing_system(rng, kind)
+        sentinel = chr(len(system.alphabet))
+        params = OracleParams(
+            depth=rng.randint(1, 14),
+            max_len=rng.choice((2, 8)),
+            power_threshold=rng.choice((2, 3, 4)),
+            max_word_len=2000,
+        )
+        try:
+            texts = _iterate_strings(system, params.depth, params.max_word_len)
+        except OracleResourceError:
+            continue
+        scanned.clear()
+        observed = observed_classes(system, params)
+        assert observed == _reference_observed(system, params), (system, params)
+        skipped += sum(scanned) < sum(map(len, texts))
+        classes += bool(observed)
+    assert skipped >= 75 and classes >= 25, (skipped, classes)
