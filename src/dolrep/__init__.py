@@ -25,7 +25,6 @@ from .morphism import (
     injectivity_witness,
     is_injective,
     make_system,
-    mortal_letters,
     translate_word,
 )
 from .oracle import OracleParams, OracleResourceError, factors_up_to, max_power, observed_classes

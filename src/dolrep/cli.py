@@ -14,9 +14,10 @@ denotes the empty word.  Exit codes: 0 success, 1 parse error or a file that
 cannot be read as UTF-8, 2 internal invariant failure or command-line usage
 error, 3 oracle disagreement under --verify, 4 the oracle could not run under
 --verify (an iterate or the depth over its letter budget, or numpy missing),
-5 out of memory (a MemoryError), 141 (128 + SIGPIPE, what a shell shows for
-a filter stopped by SIGPIPE) when the reader of standard output closes it
-early, as `dolrep analyze FILE --json | head -1` does.
+5 out of memory (a MemoryError), 130 (128 + SIGINT) when interrupted by
+Ctrl-C, 141 (128 + SIGPIPE, what a shell shows for a filter stopped by
+SIGPIPE) when the reader of standard output closes it early, as
+`dolrep analyze FILE --json | head -1` does.
 
 Under --verify the oracle tracks factors up to max(--max-len, the length of
 the longest reported representative): a class longer than --max-len would
@@ -265,6 +266,8 @@ def main() -> None:
         status = 141
     except MemoryError:
         status = 5
+    except KeyboardInterrupt:
+        status = 130
     if status == 5:
         # Reported once the except clause has dropped the traceback, and with
         # it the frames that hold the memory.

@@ -215,7 +215,7 @@ def make_system(rules: Mapping[str, Iterable[str] | str], axiom: Iterable[str] |
 
 @dataclass(frozen=True)
 class LetterClassification:
-    """Partition of an alphabet into bounded and unbounded letters.
+    """The letters of an alphabet by orbit, all from one ``classify_letters`` pass.
 
     mortal: killed by some iterate (phi^k(a) = eps); always a subset of bounded.
     bounded: the orbit {phi^k(a)} is a finite set of words.
@@ -227,66 +227,41 @@ class LetterClassification:
     unbounded: frozenset[int]
 
 
-def mortal_letters(phi: Morphism) -> frozenset[int]:
-    """Least fixed point: a is mortal iff every letter of phi(a) is mortal.
-
-    Worklist over reverse edges: pending[a] counts the letters of phi(a),
-    with multiplicity, not yet known to be mortal, and a letter is mortal
-    once its count reaches zero.  O(|A| + sum |phi(a)|).
-    """
-    if not phi.is_endomorphism():
-        raise ValueError("mortality is defined for endomorphisms only")
-    images = phi.images
-    pending = [len(img) for img in images]
-    work = [a for a, p in enumerate(pending) if not p]
-    if not work:
-        return frozenset()
-    users: list[list[int]] = [[] for _ in images]
-    for a, img in enumerate(images):
-        for b in img:
-            users[b].append(a)
-    while work:
-        for a in users[work.pop()]:
-            pending[a] -= 1
-            if not pending[a]:
-                work.append(a)
-    return frozenset(a for a, p in enumerate(pending) if not p)
-
-
 def classify_letters(phi: Morphism) -> LetterClassification:
-    """Structural bounded/unbounded classification.
+    """Structural mortal/bounded/unbounded classification.
 
-    On the digraph of immortal letters (edge a -> b iff b occurs in phi(a)),
-    an immortal letter is unbounded iff it reaches a letter on a cycle from
-    which some letter with >= 2 immortal letters in its image (counted with
-    multiplicity) is reachable.  Mortal letters are always bounded.
+    On the letter digraph (edge a -> b iff b occurs in phi(a)), a letter is
+    mortal iff it lies on no cycle and all its successors are mortal.  An
+    immortal letter is unbounded iff it reaches a cycle from which a letter
+    with >= 2 immortal letters in its image (with multiplicity) is reachable.
 
-    One iterative Tarjan pass over that digraph, with plain lists indexed by
-    letter, closes the strongly connected components sinks first.  A
-    component is unbounded when it points to an unbounded component, or
-    holds a cycle (an edge inside it) and a branching letter.  Reaching a
-    branching letter needs no flag of its own: in a component with a cycle
-    and no branching letter every letter has exactly one immortal successor,
-    inside the component, so no edge leaves it.  O(|A| + sum |phi(a)|).
+    One iterative Tarjan pass, with plain lists indexed by letter, closes
+    the strongly connected components sinks first.  When a component
+    closes, each member counts its immortal successors: those inside it
+    (then it is cyclic) and those in immortal closed components.  It is
+    mortal when every count is 0, and unbounded when it points to an
+    unbounded component or is cyclic with a count >= 2: in a cyclic
+    component without one, no edge leaves for an immortal letter, so
+    reaching a branching letter needs no flag.  O(|A| + sum |phi(a)|).
     """
     if not phi.is_endomorphism():
         raise ValueError("letter classification is defined for endomorphisms only")
-    mortal = mortal_letters(phi)
-    n = len(phi.images)
-    succ = [[b for b in img if b not in mortal] for img in phi.images]
+    images = phi.images
+    n = len(images)
     index = [-1] * n
     low = [0] * n
     comp = [-1] * n  # component of a closed letter; -1 while unvisited or on the stack
-    unbounded_comp: list[bool] = []  # per component, in closing order
+    mortal_comp: list[bool] = []  # per component, in closing order
+    unbounded_comp: list[bool] = []
     stack: list[int] = []
     count = 0
     for root in range(n):
-        if index[root] >= 0 or root in mortal:
+        if index[root] >= 0:
             continue
         index[root] = low[root] = count
         count += 1
         stack.append(root)
-        work = [(root, iter(succ[root]))]
+        work = [(root, iter(images[root]))]
         while work:
             a, edges = work[-1]
             for b in edges:
@@ -294,7 +269,7 @@ def classify_letters(phi: Morphism) -> LetterClassification:
                     index[b] = low[b] = count
                     count += 1
                     stack.append(b)
-                    work.append((b, iter(succ[b])))
+                    work.append((b, iter(images[b])))
                     break
                 if comp[b] < 0 and index[b] < low[a]:
                     low[a] = index[b]
@@ -303,24 +278,29 @@ def classify_letters(phi: Morphism) -> LetterClassification:
                 if work and low[a] < low[work[-1][0]]:
                     low[work[-1][0]] = low[a]
                 if low[a] == index[a]:
-                    c = len(unbounded_comp)
+                    c = len(mortal_comp)
                     members = []
                     b = -1
                     while b != a:
                         b = stack.pop()
                         comp[b] = c
                         members.append(b)
-                    cyclic = branching = grows = False
+                    cyclic = grows = False
+                    most = 0  # most immortal successors of a member, with multiplicity
                     for b in members:
-                        if len(succ[b]) >= 2:
-                            branching = True
-                        for d in succ[b]:
+                        live = 0
+                        for d in images[b]:
                             if comp[d] == c:
                                 cyclic = True
-                            elif unbounded_comp[comp[d]]:
-                                grows = True
-                    unbounded_comp.append(grows or (cyclic and branching))
-    unbounded = frozenset(a for a in range(n) if comp[a] >= 0 and unbounded_comp[comp[a]])
+                                live += 1
+                            elif not mortal_comp[comp[d]]:
+                                live += 1
+                                grows = grows or unbounded_comp[comp[d]]
+                        most = max(most, live)
+                    mortal_comp.append(not most)
+                    unbounded_comp.append(grows or (cyclic and most >= 2))
+    mortal = frozenset(a for a in range(n) if mortal_comp[comp[a]])
+    unbounded = frozenset(a for a in range(n) if unbounded_comp[comp[a]])
     bounded = frozenset(a for a in range(n) if a not in unbounded)
     return LetterClassification(mortal=mortal, bounded=bounded, unbounded=unbounded)
 

@@ -1,8 +1,10 @@
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -306,6 +308,27 @@ def test_closed_stdout_exits_141_without_traceback(tmp_path):
     assert first == "{\n"
     assert status == 141, err
     assert err == ""
+
+
+def test_interrupt_exits_130_without_traceback():
+    # stdin stays open, so the child blocks reading it however fast analysis gets.
+    with subprocess.Popen(
+        [sys.executable, "-m", "dolrep", "analyze", "-"],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=_src_env(),
+    ) as proc:
+        try:
+            time.sleep(1)
+            proc.send_signal(signal.SIGINT)
+            status = proc.wait(timeout=120)
+        finally:
+            proc.kill()
+        err = proc.stderr.read()
+    assert status == 130, err
+    assert "Traceback" not in err, err
 
 
 # Run in a fresh interpreter: the analysis path must not import numpy, and the

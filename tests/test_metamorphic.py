@@ -51,6 +51,73 @@ def _cyclic(length: int) -> D0LSystem:
     return D0LSystem(Morphism(alphabet, alphabet, images), (0,))
 
 
+def _system(rules: dict[str, tuple[str, ...]], axiom: str) -> D0LSystem:
+    alphabet = Alphabet(tuple(rules))
+    return D0LSystem(Morphism.from_rules(alphabet, alphabet, rules), (alphabet.letter(axiom),))
+
+
+def _chain(name: str, k: int, image, last: tuple[str, ...]) -> dict[str, tuple[str, ...]]:
+    """name_i -> image(name_(i+1)) for i < k, name_k -> last."""
+    rules = {f"{name}{i}": image(f"{name}{i + 1}") for i in range(1, k)}
+    rules[f"{name}{k}"] = last
+    return rules
+
+
+def _family_a(k: int) -> D0LSystem:
+    """U -> U U b1, b_i -> b_(i+1) b_(i+1), b_k -> z, z -> z: class z."""
+    doubling = _chain("b", k, lambda b: (b, b), ("z",))
+    return _system({"U": ("U", "U", "b1"), **doubling, "z": ("z",)}, "U")
+
+
+def _family_b(k: int) -> D0LSystem:
+    """a -> a b1 c1, the b chain of family A, c_i -> c_(i+1), c_k -> a: no class."""
+    doubling = _chain("b", k, lambda b: (b, b), ("z",))
+    delay = _chain("c", k, lambda c: (c,), ("a",))
+    return _system({"a": ("a", "b1", "c1"), **doubling, **delay, "z": ("z",)}, "a")
+
+
+def _landau(primes: tuple[int, ...]) -> D0LSystem:
+    """U -> U pP_0 ... over the primes P, and one cycle pP_i -> pP_((i+1) mod P) each."""
+    rules = {"U": ("U",) + tuple(f"p{p}_0" for p in primes)}
+    for p in primes:
+        rules.update({f"p{p}_{i}": (f"p{p}_{(i + 1) % p}",) for i in range(p)})
+    return _system(rules, "U")
+
+
+def _family_c(length: int) -> D0LSystem:
+    """a_i -> a_(i+1), a_(L-1) -> a_0 a_0 b, b -> b: one side cycle through
+    every a_i pumps the class b."""
+    rules = {f"a{i}": (f"a{i + 1}",) for i in range(length - 1)}
+    rules[f"a{length - 1}"] = ("a0", "a0", "b")
+    return _system({**rules, "b": ("b",)}, "a0")
+
+
+def _rotations(word: tuple[str, ...]) -> frozenset[tuple[str, ...]]:
+    return frozenset(word[i:] + word[:i] for i in range(len(word)))
+
+
+# phi^n(U) = U B_0 ... B_(n-1) with B_i = p2_(i mod 2) p3_(i mod 3) p5_(i mod 5),
+# so the Landau system's one class is 30 blocks of 3 letters.
+_LANDAU_PERIOD = sum((tuple(f"p{p}_{i % p}" for p in (2, 3, 5)) for i in range(30)), ())
+
+# Each system with whether it is pushy and its classes as `_classes` gives them.
+FAMILIES = [
+    (_family_a(8), True, {(_rotations(("z",)), "bounded")}),
+    (_family_b(8), False, set()),
+    (_landau((2, 3, 5)), True, {(_rotations(_LANDAU_PERIOD), "bounded")}),
+    (_family_c(30), True, {(_rotations(("b",)), "bounded")}),
+]
+# The named systems that the relations below check along with random ones.
+EXTRA = [_cyclic(50)] + [system for system, _, _ in FAMILIES]
+
+
+def test_families_pinned():
+    for system, pushy, classes in FAMILIES:
+        report = analyze(system)
+        assert report.pushy == pushy, system
+        assert _classes(system, report) == classes, system
+
+
 def test_classes_invariant_under_renaming_and_reordering():
     rng = random.Random(6201)
     repetitive = 0
@@ -90,7 +157,7 @@ def test_classes_mirror_under_reversal():
     # language, so each class becomes its reversal with the same source;
     # the side graphs swap their left and right sides.
     repetitive = pushy = 0
-    for system in _systems(6204, 3000) + [_cyclic(50)]:
+    for system in _systems(6204, 3000) + EXTRA:
         images = tuple(img[::-1] for img in system.morphism.images)
         mirror = D0LSystem(Morphism(system.alphabet, system.alphabet, images), system.axiom[::-1])
         report = analyze(system)
@@ -106,7 +173,7 @@ def test_classes_closed_under_the_morphism():
     # v^k is a factor for every k, so phi(v)^k = phi(v^k) is one too: the
     # primitive root of a non-empty phi(v) names a class as well.
     checked = 0
-    for system in _systems(6204, 3000) + [_cyclic(50)]:
+    for system in _systems(6204, 3000) + EXTRA:
         phi = system.morphism
         representatives = {cls.representative for cls in analyze(system).classes}
         for v in representatives:
@@ -126,7 +193,7 @@ def test_classes_are_the_union_over_the_powers_of_the_morphism():
     # non-empty, each with the same source.
     systems = [random_system(random.Random(700_000 + i), max_letters=12, min_letters=3) for i in range(1500)]
     repetitive = 0
-    for system in systems + [_cyclic(50)]:
+    for system in systems + EXTRA:
         phi = system.morphism
         classes = _classes(system)
         for p in (2, 3):

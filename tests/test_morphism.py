@@ -13,7 +13,6 @@ from dolrep import (
     injectivity_witness,
     is_injective,
     make_system,
-    mortal_letters,
 )
 from dolrep.morphism import CodewordIndex, _witness, code_witness, relation_heads
 from corpus_util import brute_injectivity_witness, random_system, simulated_bounded
@@ -102,13 +101,13 @@ def test_reduce_bounded_subsystem(system_g):
 
 def test_mortal_letters_examples():
     single = make_system({"a": ""}, "a")
-    assert mortal_letters(single.morphism) == {0}
+    assert classify_letters(single.morphism).mortal == {0}
     chain = make_system({"a": "b", "b": ""}, "a")
-    assert mortal_letters(chain.morphism) == {0, 1}
+    assert classify_letters(chain.morphism).mortal == {0, 1}
 
 
 def test_mortal_letters_system_g(system_g):
-    assert mortal_letters(system_g.morphism) == frozenset()
+    assert classify_letters(system_g.morphism).mortal == frozenset()
 
 
 def test_classification_system_g(system_g):

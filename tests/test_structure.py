@@ -7,6 +7,9 @@ vectors for the Lando check.
 """
 
 import random
+import time
+
+import pytest
 
 from dolrep import (
     Alphabet,
@@ -18,7 +21,6 @@ from dolrep import (
     cycles,
     first_letter_candidates,
     lando_periodic_check,
-    mortal_letters,
 )
 from dolrep import unbounded
 from corpus_util import random_system
@@ -131,7 +133,7 @@ def _reference_functional_cycles(vertices, target) -> list[tuple[int, ...]]:
 
 def test_mortal_letters_against_fixed_point():
     for system in _systems(5101, 1500):
-        assert mortal_letters(system.morphism) == _reference_mortal(system.morphism), system
+        assert classify_letters(system.morphism).mortal == _reference_mortal(system.morphism), system
 
 
 def test_classification_against_reach_sets():
@@ -150,6 +152,33 @@ def test_classification_against_reach_sets():
         seen["several_cyclic_sccs"] += _cyclic_components(phi) >= 2
         seen["unbounded"] += bool(cls.unbounded)
     assert min(seen.values()) >= 50, seen
+
+
+CHAIN = 20_000
+
+
+@pytest.mark.parametrize(
+    "last_image, mortal, unbounded",
+    [((), True, False), ((CHAIN - 1,), False, False), ((CHAIN - 1, CHAIN - 1), False, True)],
+    ids=["erased", "fixed", "doubled"],
+)
+def test_classification_of_a_long_chain(last_image, mortal, unbounded):
+    """a_i -> a_(i+1) over 20 000 letters, then a_last -> last_image.
+
+    The whole chain is mortal, bounded and immortal, or unbounded with its
+    last letter.  The depth-first walk is as deep as the chain, so this
+    guards against recursion and against quadratic work.
+    """
+    alphabet = Alphabet(tuple(f"a{i}" for i in range(CHAIN)))
+    phi = Morphism(alphabet, alphabet, tuple((i + 1,) for i in range(CHAIN - 1)) + (last_image,))
+    start = time.perf_counter()
+    cls = classify_letters(phi)
+    elapsed = time.perf_counter() - start
+    letters = frozenset(range(CHAIN))
+    assert cls.mortal == (letters if mortal else frozenset())
+    assert cls.unbounded == (letters if unbounded else frozenset())
+    assert cls.bounded == letters - cls.unbounded
+    assert elapsed < 1.0, elapsed
 
 
 def test_first_letter_candidates_against_walk_back():
