@@ -10,32 +10,33 @@ whitespace; multi-character symbols are fine):
     2 -> 1
 
 Every declared letter needs exactly one rule; an empty right-hand side
-denotes the empty word.  Exit codes: 0 success, 1 parse error or a file that
-cannot be read as UTF-8, 2 internal invariant failure or command-line usage
-error, 3 oracle disagreement under --verify, 4 the oracle could not run under
---verify (an iterate or the depth over its letter budget, or numpy missing),
-5 out of memory (a MemoryError), 130 (128 + SIGINT) when interrupted by
-Ctrl-C, 141 (128 + SIGPIPE, what a shell shows for a filter stopped by
-SIGPIPE) when the reader of standard output closes it early, as
-`dolrep analyze FILE --json | head -1` does.
+denotes the empty word.  A file and standard input alike are read as UTF-8.
+Exit codes: 0 success, 1 parse error, or input that cannot be read (a
+missing file, a closed standard input, bytes that are not UTF-8), 2
+internal invariant failure or command-line usage error, 3 oracle
+disagreement under --verify, 4 the oracle could not run under --verify
+(the axiom and its image over the oracle's letter budget, or numpy
+missing), 5 out of memory (a MemoryError), 130 (128 + SIGINT) when
+interrupted by Ctrl-C, 141 (128 + SIGPIPE, what a shell shows for a filter
+stopped by SIGPIPE) when standard output is closed, at start or by its
+reader early, as `dolrep analyze FILE --json | head -1` does.
 
-Under --verify the oracle tracks factors up to max(--max-len, the length of
-the longest reported representative): a class longer than --max-len would
-otherwise be invisible to the oracle and read as a disagreement.
+--verify has no options: `_verify_params` works out the oracle's setting
+from the system and the report.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
 from collections.abc import Sequence
+from itertools import islice
 
 from .engine import AnalysisReport, EngineInvariantError, analyze
 from .morphism import Alphabet, D0LSystem, Morphism
-from .oracle import OracleParams, OracleResourceError, observed_classes
+from .oracle import OracleParams, OracleResourceError, iterate_counts, observed_classes
 from .simplify import SimplificationError
 from .words import Word
 
@@ -194,9 +195,42 @@ def format_report(report: AnalysisReport) -> str:
 
 def _read_input(path: str) -> str:
     if path == "-":
-        return sys.stdin.read()
+        if sys.stdin is None:  # the process started with file descriptor 0 closed
+            raise OSError("standard input is closed")
+        # The bytes, decoded here: the text layer's encoding follows the locale.
+        return sys.stdin.buffer.read().decode("utf-8")
     with open(path, encoding="utf-8") as fh:
         return fh.read()
+
+
+# The deepest iterate --verify lets the oracle build.  It bounds the work on
+# systems whose iterates stay short, where the letter budget alone would
+# allow a depth near a million; the oracle agrees on the cyclic system
+# a_i -> a_(i+1), a_(L-1) -> a_0 a_0 at L = 600 from depth 1 800 on.
+_VERIFY_DEPTH_CAP = 2000
+
+
+def _verify_params(system: D0LSystem, engine_reps: set[Word]) -> OracleParams:
+    """The oracle setting of --verify: the defaults, but for two values.
+
+    The depth is the largest n <= _VERIFY_DEPTH_CAP with |phi^0(w)| + ... +
+    |phi^n(w)| at most the letter budget, from letter counts: the oracle
+    keeps every iterate, so their total bounds its memory.  Raises
+    OracleResourceError when no depth >= 1 fits.  The factor-length bound
+    grows to the longest engine class, which it would otherwise not see.
+    """
+    default = OracleParams()
+    depth, total = -1, 0
+    for counts in islice(iterate_counts(system), _VERIFY_DEPTH_CAP + 1):
+        total += sum(counts)
+        if total > default.max_word_len:
+            break
+        depth += 1
+    if depth < 1:
+        raise OracleResourceError(
+            f"iterates 0 to {depth + 1} hold {total} letters, over the {default.max_word_len}-letter budget"
+        )
+    return OracleParams(depth=depth, max_len=max([default.max_len, *map(len, engine_reps)]))
 
 
 def run(argv: Sequence[str]) -> int:
@@ -208,14 +242,7 @@ def run(argv: Sequence[str]) -> int:
     cmd.add_argument("file")
     cmd.add_argument("--json", action="store_true", help="emit a JSON report")
     cmd.add_argument("--verify", action="store_true", help="cross-check against the brute-force oracle")
-    cmd.add_argument("--depth", type=int, default=12, help="oracle iterate depth (default 12)")
-    cmd.add_argument("--max-len", type=int, default=8, help="oracle factor length bound (default 8)")
-    cmd.add_argument("--power", type=int, default=4, help="oracle power threshold (default 4)")
     args = parser.parse_args(argv)
-    try:
-        params = OracleParams(depth=args.depth, max_len=args.max_len, power_threshold=args.power)
-    except ValueError as exc:
-        cmd.error(str(exc))
 
     try:
         system = parse_system(_read_input(args.file))
@@ -236,9 +263,8 @@ def run(argv: Sequence[str]) -> int:
 
     if args.verify:
         engine_reps = {cls.representative for cls in report.classes}
-        params = dataclasses.replace(params, max_len=max([params.max_len, *map(len, engine_reps)]))
         try:
-            observed = observed_classes(system, params)
+            observed = observed_classes(system, _verify_params(system, engine_reps))
         except (OracleResourceError, ImportError) as exc:  # numpy is imported by the oracle's scan
             print(f"error: oracle: {exc}", file=sys.stderr)
             return 4
@@ -256,6 +282,9 @@ def run(argv: Sequence[str]) -> int:
 
 
 def main() -> None:
+    if sys.stdout is None:
+        # Started with file descriptor 1 closed: no reader, as below.
+        sys.exit(141)
     try:
         status = run(sys.argv[1:])
         sys.stdout.flush()

@@ -9,7 +9,8 @@ and its maximal power still grows between half depth and full depth, which
 separates unbounded repetition from static high powers.
 
 The iterates come from per-letter levels (`_iterate_strings`): the budget
-is checked on every depth from letter counts before any string is built,
+is checked on every depth from letter counts (`iterate_counts`, from which
+`analyze --verify` also works out its depth) before any string is built,
 then level k holds phi^k(b) for each letter b that occurs in some phi^j(w)
 with j <= depth - k, level k + 1 joins level-k strings along the images,
 and phi^k(w) joins level k over the axiom.  Every string built is a factor
@@ -49,7 +50,9 @@ scan does, and later scans find it in `sys.modules`.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import islice
 from typing import TYPE_CHECKING
 
 from .morphism import D0LSystem
@@ -77,11 +80,33 @@ class OracleParams:
             raise ValueError("max_word_len must be positive")
 
 
+def iterate_counts(system: D0LSystem) -> Iterator[list[int]]:
+    """The letter-count vectors of phi^0(w), phi^1(w), ..., without end.
+
+    counts[a] is the number of occurrences of letter a in the iterate, so
+    sum(counts) is its length, known before any iterate is built.  Each
+    vector is a new list; a step costs one pass over the images of the
+    letters that occur.
+    """
+    images = system.morphism.images
+    counts = [0] * len(images)
+    for a in system.axiom:
+        counts[a] += 1
+    while True:
+        yield counts
+        nxt = [0] * len(images)
+        for a, c in enumerate(counts):
+            if c:
+                for b in images[a]:
+                    nxt[b] += c
+        counts = nxt
+
+
 def _iterate_strings(system: D0LSystem, depth: int, cap: int) -> list[str]:
     """phi^0(w) .. phi^depth(w) encoded with chr(letter id).
 
-    The lengths of all the iterates come first, from letter-count vectors,
-    so the first one over the budget raises before any string is built.
+    The lengths of all the iterates come first, from `iterate_counts`, so
+    the first one over the budget raises before any string is built.
     The iterates are then built from per-letter levels: level k maps each
     letter b that occurs in some phi^j(w) with j <= depth - k to phi^k(b),
     level k + 1 joins the level-k strings along each image (every letter of
@@ -103,23 +128,14 @@ def _iterate_strings(system: D0LSystem, depth: int, cap: int) -> list[str]:
         raise OracleResourceError(
             f"depth {depth} exceeds the {cap}-letter budget (one iterate is kept per depth)"
         )
-    images = system.morphism.images
-    counts = [0] * len(images)
-    for a in system.axiom:
-        counts[a] += 1
     reach = [set(system.axiom)]  # reach[j]: the letters of phi^0(w) .. phi^j(w)
-    for _ in range(depth):
-        length = sum(c * len(img) for c, img in zip(counts, images))
+    for counts in islice(iterate_counts(system), 1, depth + 1):
+        length = sum(counts)
         if length > cap:
             raise OracleResourceError(f"iterate length {length} exceeds the {cap}-letter budget")
-        nxt = [0] * len(images)
-        for a, c in enumerate(counts):
-            if c:
-                for b in images[a]:
-                    nxt[b] += c
-        counts = nxt
         letters = {b for b, c in enumerate(counts) if c}
         reach.append(reach[-1] if letters <= reach[-1] else reach[-1] | letters)
+    images = system.morphism.images
     level = {b: chr(b) for b in reach[depth]}
     out = ["".join(map(level.__getitem__, system.axiom))]
     for k in range(1, depth + 1):

@@ -32,11 +32,10 @@ def primitive_root(w: Sequence[int]) -> Word:
     """Return the shortest x with w = x^m for some m >= 1."""
     _require_nonempty(w)
     w = tuple(w)
-    n = len(w)
-    for d in range(1, n + 1):
-        if n % d == 0 and w[:d] * (n // d) == w:
-            return w[:d]
-    raise AssertionError("unreachable: every word is a power of itself")
+    # The rotations of w equal to w are those by multiples of |x|, x its
+    # primitive root, so w first occurs in ww after position 0 at |x|.
+    s = _word_str(w)
+    return w[: (s + s).find(s, 1)]
 
 
 def is_primitive(w: Sequence[int]) -> bool:

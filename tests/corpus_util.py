@@ -2,9 +2,10 @@
 
 import random
 import string
-from itertools import product
+from itertools import islice, product
 
 from dolrep import D0LSystem, Morphism, OracleParams
+from dolrep.oracle import iterate_counts
 
 
 def random_system(
@@ -66,22 +67,6 @@ def brute_injectivity_witness(phi: Morphism, max_len: int = 6):
     return None
 
 
-def _iterate_lengths(system: D0LSystem, depth: int) -> list[int]:
-    counts = [0] * len(system.alphabet)
-    for a in system.axiom:
-        counts[a] += 1
-    lengths = [sum(counts)]
-    for _ in range(depth):
-        nxt = [0] * len(counts)
-        for a, c in enumerate(counts):
-            if c:
-                for b in system.morphism.image(a):
-                    nxt[b] += c
-        counts = nxt
-        lengths.append(sum(counts))
-    return lengths
-
-
 def corpus_oracle_params(system: D0LSystem, engine_reps, depth_cap: int = 16, budget: int = 300_000) -> OracleParams:
     """Deterministic per-system oracle tuning for the agreement check.
 
@@ -89,7 +74,7 @@ def corpus_oracle_params(system: D0LSystem, engine_reps, depth_cap: int = 16, bu
     corpus scale of alphabet <= 4 and images <= 3 this is always >= 10).
     Length bound: at least 8, and enough to see every engine representative.
     """
-    lengths = _iterate_lengths(system, depth_cap)
+    lengths = [sum(counts) for counts in islice(iterate_counts(system), depth_cap + 1)]
     depth = max(n for n in range(1, depth_cap + 1) if all(l <= budget for l in lengths[: n + 1]))
     max_len = max([8] + [len(rep) for rep in engine_reps])
     return OracleParams(depth=depth, max_len=max_len, power_threshold=3, max_word_len=2 * budget)

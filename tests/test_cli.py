@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -9,8 +10,9 @@ import time
 import pytest
 
 import dolrep
-from dolrep import analyze
+from dolrep import analyze, cli
 from dolrep.cli import ParseError, parse_system, report_to_dict, run, serialize_system
+from corpus_util import random_system
 
 G_FILE = """\
 # Example system
@@ -28,12 +30,8 @@ axiom: 0
 1 -> 1 0
 """
 
-# phi^12(axiom) has 2 * 3^12 letters, over the oracle's default 10^6 budget
-TRIPLING_FILE = """\
-alphabet: a
-axiom: a a
-a -> a a a
-"""
+# |w| + |phi(w)| = 1000 + 1000^2 letters, over the oracle's default 10^6 budget
+THOUSANDFOLD_FILE = f"alphabet: a\naxiom: {'a ' * 1000}\na -> {'a ' * 1000}\n"
 
 
 def test_parse_system_g(system_g):
@@ -115,6 +113,12 @@ def test_report_dict_schema(system_g):
     ]
 
 
+def _stdin(text: str) -> io.TextIOWrapper:
+    """A standard input that holds text, UTF-8 encoded, with its bytes
+    behind `.buffer` as a real one has."""
+    return io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8")
+
+
 def _write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
@@ -127,7 +131,7 @@ def test_byte_order_mark_is_ignored(tmp_path, capsys, monkeypatch):
     path.write_bytes(b"\xef\xbb\xbf" + G_FILE.encode())
     assert run(["analyze", str(path)]) == 0
     assert "1122" in capsys.readouterr().out
-    monkeypatch.setattr(sys, "stdin", io.StringIO("\ufeff" + G_FILE))
+    monkeypatch.setattr(sys, "stdin", _stdin("\ufeff" + G_FILE))
     assert run(["analyze", "-"]) == 0
     assert "1122" in capsys.readouterr().out
 
@@ -158,24 +162,6 @@ def test_run_verify_agreement(tmp_path, capsys):
     assert "oracle: agreement" in out
 
 
-def test_run_verify_flags(tmp_path, capsys):
-    rc = run(
-        [
-            "analyze",
-            _write(tmp_path, "tm.dol", TM_FILE),
-            "--verify",
-            "--depth",
-            "10",
-            "--max-len",
-            "6",
-            "--power",
-            "3",
-        ]
-    )
-    assert rc == 0
-    assert "oracle: agreement" in capsys.readouterr().out
-
-
 def test_run_parse_error_exit_code(tmp_path, capsys):
     rc = run(["analyze", _write(tmp_path, "bad.dol", "alphabet: a\naxiom: b\n")])
     err = capsys.readouterr().err
@@ -199,9 +185,7 @@ def test_run_non_utf8_file(tmp_path, capsys):
 
 
 def test_run_stdin(monkeypatch, capsys):
-    import io
-
-    monkeypatch.setattr("sys.stdin", io.StringIO(G_FILE))
+    monkeypatch.setattr("sys.stdin", _stdin(G_FILE))
     rc = run(["analyze", "-"])
     assert rc == 0
     assert "repetitive: yes" in capsys.readouterr().out
@@ -220,22 +204,24 @@ def test_run_internal_error_exit_code(tmp_path, monkeypatch, capsys):
     assert "internal error" in capsys.readouterr().err
 
 
-def test_run_verify_disagreement_exit_code(tmp_path, capsys):
-    # depth 2 is too shallow for the oracle to see G's class: forced disagreement
-    rc = run(["analyze", _write(tmp_path, "g.dol", G_FILE), "--verify", "--depth", "2"])
+def test_run_verify_disagreement_exit_code(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "observed_classes", lambda system, params: set())
+    rc = run(["analyze", _write(tmp_path, "g.dol", G_FILE), "--verify"])
     out = capsys.readouterr().out
     assert rc == 3
-    assert "oracle: disagreement" in out
+    assert "oracle: disagreement\n  engine:   1122\n  observed: (none)\n" in out
 
 
 def test_run_verify_class_longer_than_max_len(tmp_path, capsys):
     # U -> U p0, p_i -> p_(i+1), p8 -> p0: the one class p0..p8 has 9 letters,
-    # past the default --max-len 8, so the oracle's factor-length bound
-    # follows the longest reported class instead of reading a disagreement.
+    # past the oracle's default factor length 8, so the bound follows the
+    # longest reported class instead of reading a disagreement.  The class
+    # shows only deep down: phi^n(U) has n + 1 letters, so the iterates fit
+    # the letter budget up to depth 1 412.
     cycle = [f"p{i}" for i in range(9)]
     rules = "".join(f"{a} -> {b}\n" for a, b in zip(cycle, cycle[1:] + cycle[:1]))
     text = f"alphabet: U {' '.join(cycle)}\naxiom: U\nU -> U p0\n{rules}"
-    rc = run(["analyze", _write(tmp_path, "cycle9.dol", text), "--verify", "--depth", "45"])
+    rc = run(["analyze", _write(tmp_path, "cycle9.dol", text), "--verify"])
     out = capsys.readouterr().out
     assert f"representative {' '.join(cycle)};" in out
     assert rc == 0
@@ -243,20 +229,33 @@ def test_run_verify_class_longer_than_max_len(tmp_path, capsys):
 
 
 def test_run_verify_oracle_budget_exit_code(tmp_path, capsys):
-    rc = run(["analyze", _write(tmp_path, "tripling.dol", TRIPLING_FILE), "--verify"])
+    rc = run(["analyze", _write(tmp_path, "a1000.dol", THOUSANDFOLD_FILE), "--verify"])
     captured = capsys.readouterr()
     assert rc == 4
     assert "representative a;" in captured.out
-    assert captured.err.startswith("error: oracle: ")
-    assert captured.err.count("\n") == 1
+    assert captured.err == "error: oracle: iterates 0 to 1 hold 1001000 letters, over the 1000000-letter budget\n"
 
 
-@pytest.mark.parametrize("flag, value", [("--depth", "0"), ("--max-len", "0"), ("--power", "1")])
-def test_run_oracle_flag_below_minimum_is_usage_error(tmp_path, capsys, flag, value):
+def test_run_verify_agrees_on_the_corpus(tmp_path, capsys):
+    # The acceptance corpus (tests/test_acceptance.py), with no oracle setting.
+    path = tmp_path / "system.dol"
+    failed = []
+    for i in range(500):
+        path.write_text(serialize_system(random_system(random.Random(1000 + i))))
+        rc = run(["analyze", str(path), "--verify"])
+        out = capsys.readouterr().out
+        if rc != 0 or not out.endswith("oracle: agreement\n"):
+            failed.append((i, rc))
+    assert failed == []
+
+
+# Their old defaults: the options are gone, not just their range checks.
+@pytest.mark.parametrize("flag, value", [("--depth", "12"), ("--max-len", "8"), ("--power", "4")])
+def test_removed_oracle_flag_is_usage_error(tmp_path, capsys, flag, value):
     with pytest.raises(SystemExit) as exc:
         run(["analyze", _write(tmp_path, "g.dol", G_FILE), "--verify", flag, value])
     assert exc.value.code == 2
-    assert "usage: dolrep analyze" in capsys.readouterr().err
+    assert "usage: dolrep" in capsys.readouterr().err
 
 
 def _src_env() -> dict[str, str]:
@@ -308,6 +307,39 @@ def test_closed_stdout_exits_141_without_traceback(tmp_path):
     assert first == "{\n"
     assert status == 141, err
     assert err == ""
+
+
+def _shell(redirect: str, *args: str, stdin: bytes | None = None, env=None) -> subprocess.CompletedProcess:
+    """`python -m dolrep analyze ARGS` run by sh after the redirection."""
+    return subprocess.run(
+        ["sh", "-c", f'exec "$0" -m dolrep analyze "$@" {redirect}', sys.executable, *args],
+        input=stdin,
+        capture_output=True,
+        env=env or _src_env(),
+        timeout=120,
+    )
+
+
+def test_closed_stdin_is_an_input_error():
+    proc = _shell("<&-", "-")
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == b"error: standard input is closed\n"
+
+
+def test_closed_stdout_at_start_exits_141(tmp_path):
+    proc = _shell(">&-", _write(tmp_path, "g.dol", G_FILE))
+    assert proc.returncode == 141, proc.stderr
+    assert proc.stderr == b""
+
+
+def test_non_utf8_stdin_is_a_parse_error_in_the_c_locale():
+    # The C and POSIX locales turn on Python's UTF-8 mode, whose standard
+    # input decodes bytes that are not UTF-8 with surrogateescape.
+    text = b"alphabet: a\xff\naxiom: a\xff\na\xff -> a\xff a\xff\n"
+    proc = _shell("", "-", stdin=text, env=dict(_src_env(), LC_ALL="C"))
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == b""
+    assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1, proc.stderr
 
 
 def test_interrupt_exits_130_without_traceback():
@@ -396,16 +428,6 @@ def test_verify_without_numpy_exits_4(tmp_path):
     assert proc.returncode == 4, proc.stderr
     assert "representative 1122" in proc.stdout
     assert proc.stderr.startswith("error: oracle: ") and proc.stderr.count("\n") == 1, proc.stderr
-
-
-def test_verify_depth_over_the_budget_exits_4(tmp_path):
-    # Once, a -> a at depth 10^8 ended in a MemoryError traceback under 1 GB.
-    path = _write(tmp_path, "a.dol", "alphabet: a\naxiom: a\na -> a\n")
-    proc = _main_after(_address_space_limit(1024), path, "--verify", "--depth", "100000000")
-    assert proc.returncode == 4, proc.stderr
-    assert proc.stderr == (
-        "error: oracle: depth 100000000 exceeds the 1000000-letter budget (one iterate is kept per depth)\n"
-    )
 
 
 def _family_b_file(k: int) -> str:

@@ -23,7 +23,8 @@ GOLDEN = Path(__file__).with_name("golden_corpus.sha256")
 
 def _json_report(text: str) -> str:
     out = io.StringIO()
-    stdin, sys.stdin = sys.stdin, io.StringIO(text)
+    # `analyze -` reads the bytes behind stdin, as from a real one
+    stdin, sys.stdin = sys.stdin, io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8")
     try:
         with contextlib.redirect_stdout(out):
             assert run(["analyze", "-", "--json"]) == 0

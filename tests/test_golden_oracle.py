@@ -4,7 +4,7 @@
 
 * `corpus-<i>-rung1 <sha256>`, at the suite's first escalation rung
   (`corpus_oracle_params` with the engine's representatives);
-* `corpus-<i>-default <sha256>`, at the CLI defaults `OracleParams()`.
+* `corpus-<i>-default <sha256>`, at the library defaults `OracleParams()`.
 
 Each digest is the sha256 of `repr(sorted(observed_classes(...)))`, or of
 the marker `OracleResourceError` when the oracle ran out of its length

@@ -218,6 +218,20 @@ def test_side_graph_cycles_against_walk_back():
     assert checked >= 500
 
 
+def test_first_letter_graph_is_the_label_free_left_side_graph():
+    # An unbounded letter's first letter is unbounded exactly when its left
+    # side-graph edge sheds no bounded prefix, and then both edges agree.
+    checked = kept = dropped = 0
+    for system in _systems(5108, 3000, min_image=1):
+        graph = build_side_graph(system, Side.LEFT)
+        label_free = [cycle for cycle in cycles(graph) if not any(graph[a][1] for a in cycle)]
+        assert first_letter_candidates(system) == label_free, system
+        checked += 1
+        kept += len(label_free)
+        dropped += len(cycles(graph)) - len(label_free)
+    assert checked >= 1500 and kept >= 500 and dropped >= 100, (checked, kept, dropped)
+
+
 def test_cycles_of_random_functional_graphs():
     rng = random.Random(5105)
     multi = 0

@@ -70,6 +70,26 @@ def _random_word(rng, max_len=8, letters=3, min_len=1):
     return tuple(rng.randrange(letters) for _ in range(rng.randint(min_len, max_len)))
 
 
+def _reference_primitive_root(word):
+    """The shortest prefix whose power is the word, trying every divisor."""
+    n = len(word)
+    return next(word[:d] for d in range(1, n + 1) if n % d == 0 and word[:d] * (n // d) == word)
+
+
+def test_primitive_root_against_divisor_loop():
+    rng = random.Random(23)
+    proper = 0
+    for _ in range(2000):
+        root = _random_word(rng, max_len=rng.choice((3, 12, 60)), letters=rng.choice((1, 2, 3, 300)))
+        word = root * rng.choice((1, 1, 2, 3, 7))
+        if rng.random() < 0.3:  # words close to a power: one letter changed
+            i = rng.randrange(len(word))
+            word = word[:i] + ((word[i] + 1) % 3,) + word[i + 1 :]
+        assert primitive_root(word) == _reference_primitive_root(word), word
+        proper += len(primitive_root(word)) < len(word)
+    assert proper >= 500, proper
+
+
 def test_root_power_identity_randomized():
     rng = random.Random(7)
     for _ in range(300):
