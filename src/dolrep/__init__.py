@@ -28,7 +28,7 @@ from .morphism import (
     translate_word,
 )
 from .oracle import OracleParams, OracleResourceError, factors_up_to, max_power, observed_classes
-from .pushy import Side, bounded_periodic_classes, build_side_graph, cycles, is_pushy
+from .pushy import Side, bounded_periodic_classes, build_side_graph, cycles, is_pushy, periodic_words
 from .simplify import (
     SimplificationChain,
     SimplificationError,
@@ -38,11 +38,7 @@ from .simplify import (
     injective_simplification,
     merge_duplicate_images,
 )
-from .unbounded import (
-    first_letter_candidates,
-    lando_periodic_check,
-    unbounded_periodic_classes,
-)
+from .unbounded import first_letter_candidates, lando_periodic_check
 from .words import (
     Word,
     canonical_rotation,

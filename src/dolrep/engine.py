@@ -2,10 +2,11 @@
 
 The pipeline reduces the input, simplifies it to an injective system,
 collects the period words of both the bounded-letter and unbounded-letter
-infinite periodic factors of the final system, maps them back through the
-chain, and canonicalizes them into conjugacy classes over the original
-alphabet.  A system whose reduced alphabet has no unbounded letter has a
-finite language and is reported as neither pushy nor repetitive.
+infinite periodic factors of the final system in one side-graph stage
+(``pushy.periodic_words``), maps them back through the chain, and
+canonicalizes them into conjugacy classes over the original alphabet.  A
+system whose reduced alphabet has no unbounded letter has a finite
+language and is reported as neither pushy nor repetitive.
 """
 
 from __future__ import annotations
@@ -15,9 +16,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .morphism import D0LSystem, LetterClassification, translate_word
-from .pushy import bounded_periodic_classes
+from .pushy import periodic_words
 from .simplify import SimplificationChain, injective_simplification
-from .unbounded import unbounded_periodic_classes
 from .words import Word, canonical_rotation, conjugates, primitive_root
 
 
@@ -80,9 +80,7 @@ def analyze(system: D0LSystem) -> AnalysisReport:
     # A finite language has nothing that repeats unboundedly.
     if reduced.morphism.classification.unbounded:
         chain = injective_simplification(reduced)
-        final = chain.final_system
-        bounded_periods = tuple(bounded_periodic_classes(final))
-        unbounded_periods = tuple(unbounded_periodic_classes(final))
+        bounded_periods, unbounded_periods = map(tuple, periodic_words(chain.final_system))
     bounded_letters = system.morphism.classification.bounded
     classes: dict[Word, PeriodicFactorClass] = {}
     for word in bounded_periods + unbounded_periods:

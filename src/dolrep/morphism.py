@@ -14,7 +14,7 @@ from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .words import Word, _word_str, primitive_root
+from .words import Word, _word_str
 
 
 @dataclass(frozen=True)
@@ -329,19 +329,6 @@ def functional_cycles(vertices: Iterable[int], target: Callable[[int], int]) -> 
             done[u] = True
     out.sort()
     return out
-
-
-def phase_periods(phi: Morphism, period: Word, k: int) -> list[Word]:
-    """The primitive periods of the k phases of a cycle, from phase 0's.
-
-    Phase r + 1's period is the primitive root of phi of phase r's.  The
-    side-graph cycles of ``pushy`` and the first-letter cycles of
-    ``unbounded`` each prove this for their own phases.
-    """
-    periods = [period]
-    for _ in range(k - 1):
-        periods.append(primitive_root(phi(periods[-1])))
-    return periods
 
 
 class CodewordIndex:

@@ -1,4 +1,4 @@
-"""Pushiness and infinite periodic factors over bounded letters.
+"""The side-graph stage: every period word of the final system, from one walk per side.
 
 For a non-erasing system the image of every unbounded letter contains an
 unbounded letter; recording the last (resp. first) one together with the
@@ -6,15 +6,11 @@ bounded suffix (resp. prefix) it sheds yields two functional graphs on the
 unbounded letters, one per side.  Their cycles are the only source of
 arbitrarily long factors over bounded letters: a cycle with a non-empty
 label pumps a periodic bounded-letter tail at each of its phases (starting
-vertices).
-
-One period is computed per qualifying cycle, for its first phase, from the
-finite orbit of the label word accumulated over one round; that orbit is
-walked once and the blocks of the period are read off it.  The tail pumped
-at the next phase is phi of this one up to a bounded border, so each
-further phase's period is the primitive root of phi of the previous one,
-exact up to rotation by Fine & Wilf.  ``bounded_periodic_classes`` gives
-the proof sketch and the costs.
+vertices).  The left side's label-free cycles are the cycles of the
+first-letter graph a -> first(phi(a)) through unbounded letters, the
+candidates of Lando's check in :mod:`dolrep.unbounded`.  So
+``periodic_words`` walks each side graph's cycles once and harvests both
+sources of classes; its docstring gives the proofs and the costs.
 """
 
 from __future__ import annotations
@@ -22,7 +18,8 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-from .morphism import D0LSystem, Morphism, functional_cycles, phase_periods
+from .morphism import D0LSystem, Morphism, functional_cycles
+from .unbounded import lando_periodic_check
 from .words import Word, primitive_root
 
 
@@ -103,21 +100,29 @@ def _cycle_period_word(phi: Morphism, side: Side, labels: tuple[Word, ...]) -> W
 
 
 def bounded_periodic_classes(system: D0LSystem) -> list[Word]:
-    """Primitive periods of all infinite periodic factors over bounded letters.
+    """Primitive periods of all infinite periodic factors over bounded letters."""
+    return periodic_words(system)[0]
 
-    Cycles whose labels are all empty pump nothing.  The side graphs exist
-    for non-erasing systems only, which have no mortal letter, so any
-    non-empty label pumps.  A qualifying cycle of length k contributes one
-    period per phase r = 0, ..., k - 1, the tail pumped from its r-th
-    vertex; the left side's cycles come first, each side's in the order of
-    ``cycles``.  For k > 1 the phases' periods are morphism images of one
-    another, not conjugates, so every phase is a class of its own.
 
-    Only phase 0 runs ``_cycle_period_word``; phase r's period is the
-    primitive root of phi(P_{r-1}).  On the right, with
-    phi(a_i) = x_i a_{i+1} u_{i+1} along the cycle and T_i(n) the bounded
-    tail after the cycle letter in phi^n(a_i), expanding phi^{n+1}(a_i)
-    from the inside and from the outside gives
+def periodic_words(system: D0LSystem) -> tuple[list[Word], list[Word]]:
+    """Period words of the bounded-letter and the unbounded-letter classes.
+
+    Each side graph is built once and its cycles are walked once.  A cycle
+    with a non-empty label pumps a bounded-letter tail, whose period
+    ``_cycle_period_word`` computes (a non-erasing system has no mortal
+    letter, so any non-empty label pumps).  A label-free left cycle is a
+    first-letter cycle, and Lando's check runs on its least letter; a
+    label-free right cycle pumps nothing.  A cycle of length k contributes
+    one period per phase r < k, and only phase 0's is computed: phase r's
+    is the primitive root of phi(P_{r-1}) for either kind, as shown below.
+    For k > 1 these are images, not conjugates, so each phase is a class of
+    its own.  The bounded list holds the left side's cycles, then the right
+    side's, each in the order of ``cycles``; the unbounded list is sorted.
+
+    *Bounded phases.*  On the right, with phi(a_i) = x_i a_{i+1} u_{i+1}
+    along the cycle and T_i(n) the bounded tail after the cycle letter in
+    phi^n(a_i), expanding phi^{n+1}(a_i) from the inside and from the
+    outside gives
 
         T_i(n+1) = u_{i+n+1} phi(T_i(n)) = T_{i+1}(n) phi^n(u_{i+1}).
 
@@ -133,18 +138,46 @@ def bounded_periodic_classes(system: D0LSystem) -> list[Word]:
     r >= 1 may thus carry a rotation of the word their own computation
     would give; the conjugacy classes are the same.
 
-    Cost per qualifying cycle: k applications of phi for u, s + t for the
-    orbit, and one application of phi plus one primitive root per further
-    phase.
+    *Unbounded phases.*  The system is expected to be the reduced injective
+    simplification, which makes every accepted v^m an actual factor of the
+    language; injectivity is not re-verified here.  Let a be on a
+    first-letter cycle of length l, b = first(phi(a)) and psi = phi^l.
+    psi commutes with phi, and psi^n(b) is a prefix of phi(psi^n(a)), so
+    psi^omega(b) = phi(psi^omega(a)); going round the cycle gives the
+    converse.  On injective systems Lando's check accepts a letter exactly
+    when its psi^omega is purely periodic, so either every letter of a
+    cycle is accepted or none is, and when psi^omega(a) = w^omega with w
+    primitive, psi^omega(b) = phi(w)^omega, whose primitive period is
+    primitive_root(phi(w)) by Fine-Wilf uniqueness.  Letter a's word starts
+    with a, as v is a prefix of psi^s(a), and primitive_root(phi(w)) starts
+    with b; so the words have pairwise distinct first letters, and sorting
+    them gives letter order, as a check of every candidate letter would.
+    On a non-injective system, where the check can reject a letter whose
+    psi^omega is periodic, that may differ.
+
+    Cost per cycle: for a labelled one, k applications of phi for u and
+    s + t for the orbit; for a label-free left one, one Lando check, which
+    keeps the cyclic family a_i -> a_(i+1), a_(L-1) -> a_0 a_0 linear in L
+    where a check per letter would be quadratic; for either, one
+    application of phi plus one primitive root per further phase.
     """
     phi = system.morphism
+    bounded: list[Word] = []
+    unbounded: list[Word] = []
     if not phi.classification.unbounded:
-        return []
-    out: list[Word] = []
+        return bounded, unbounded
     for side in (Side.LEFT, Side.RIGHT):
         graph = build_side_graph(system, side)
         for cycle in cycles(graph):
             labels = tuple(graph[a][1] for a in cycle)
             if any(labels):
-                out += phase_periods(phi, _cycle_period_word(phi, side, labels), len(cycle))
-    return out
+                out, period = bounded, _cycle_period_word(phi, side, labels)
+            elif side is Side.LEFT and (v := lando_periodic_check(phi, len(cycle), cycle[0])):
+                out, period = unbounded, primitive_root(v)
+            else:
+                continue
+            out.append(period)
+            for _ in range(len(cycle) - 1):
+                period = primitive_root(phi(period))
+                out.append(period)
+    return bounded, sorted(unbounded)

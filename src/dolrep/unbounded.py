@@ -1,4 +1,4 @@
-"""Infinite periodic factors containing an unbounded letter.
+"""Infinite periodic factors containing an unbounded letter: Lando's check.
 
 Such factors are exactly the purely periodic periodic points of the
 morphism: unbounded letters a with first(phi^l(a)) = a for some l bounded by
@@ -7,17 +7,11 @@ the alphabet size, filtered through the three-step pure-periodicity check
 itself to repeat, and test that the prefix up to its second occurrence is a
 proper-power root of its own image).
 
-The check runs once per cycle of the first-letter graph, not once per
-letter.  Let a be on a cycle of length l, b = first(phi(a)) and psi = phi^l.
-psi commutes with phi, and psi^n(b) is a prefix of phi(psi^n(a)), so
-psi^omega(b) = phi(psi^omega(a)); going round the cycle gives the converse.
-On the injective systems the engine hands over, the check accepts a letter
-exactly when its psi^omega is purely periodic.  Hence either every letter of
-a cycle is accepted or none is, and when psi^omega(a) = w^omega with w
-primitive, psi^omega(b) = phi(w)^omega, whose primitive period is
-primitive_root(phi(w)) by Fine-Wilf uniqueness.  On the cyclic family
-a_i -> a_(i+1), a_(L-1) -> a_0 a_0 this keeps the stage linear in L; a check
-per letter, each expanding phi^L, would make it quadratic.
+The side-graph stage, ``pushy.periodic_words``, finds the candidate cycles
+as the left side graph's label-free cycles, runs the check once per cycle
+and derives the other letters' periods; its docstring has the proof.
+``first_letter_candidates`` is the direct first-letter walk, kept as an
+independent reference for those cycles.
 """
 
 from __future__ import annotations
@@ -25,8 +19,8 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterator, Sequence
 
-from .morphism import D0LSystem, Morphism, functional_cycles, phase_periods
-from .words import Word, primitive_root
+from .morphism import D0LSystem, Morphism, functional_cycles
+from .words import Word
 
 
 def first_letter_candidates(system: D0LSystem) -> list[tuple[int, ...]]:
@@ -148,32 +142,3 @@ def lando_periodic_check(phi: Morphism, exponent: int, letter: int) -> Word | No
         # v starts with an unbounded letter, so psi(v) = v is impossible.
         raise AssertionError("psi(v) = v contradicts unboundedness of the candidate letter")
     return v
-
-
-def unbounded_periodic_classes(system: D0LSystem) -> list[Word]:
-    """Primitive roots of all periodic periodic-point words of the system.
-
-    The system is expected to be the reduced injective simplification, which
-    makes every accepted v^m an actual factor of the language; injectivity is
-    not re-verified here.
-
-    Lando's check runs on the least letter a of each first-letter cycle
-    only.  Its accepted period w_a gives the next letter b = first(phi(a))
-    the period primitive_root(phi(w_a)), and a rejection rejects the whole
-    cycle: psi = phi^l, l the cycle's length, commutes with phi, so
-    psi^omega(b) = phi(psi^omega(a)), and the converse holds going round the
-    cycle; a purely periodic word has one primitive period (Fine-Wilf).
-    Letter a's word starts with a, as v is a prefix of psi^s(a), and
-    primitive_root(phi(w_a)) starts with b; so the words have pairwise
-    distinct first letters, and sorting them gives letter order, as a check
-    of every candidate letter would give them.  On a non-injective system,
-    where the check can reject a letter whose psi^omega is periodic, that
-    may differ.
-    """
-    phi = system.morphism
-    words: list[Word] = []
-    for cycle in first_letter_candidates(system):
-        v = lando_periodic_check(phi, len(cycle), cycle[0])
-        if v is not None:
-            words += phase_periods(phi, primitive_root(v), len(cycle))
-    return sorted(words)

@@ -52,7 +52,24 @@ def conjugates(w: Sequence[int]) -> set[Word]:
 
 
 def canonical_rotation(w: Sequence[int]) -> Word:
-    """Lexicographically least rotation of w, comparing letters by id."""
+    """Lexicographically least rotation of w, comparing letters by id.
+
+    Duval's Lyndon factorisation of ww (J. Algorithms 1983), stopped once a
+    factor starts at or past |w|: the least rotation starts at the last
+    factor that starts before |w|.  Each round moves i past k and by at
+    least j - k, so by at least half the j - i letters it compared, and the
+    walk is O(|w|).
+    """
     _require_nonempty(w)
-    w = tuple(w)
-    return min(w[i:] + w[:i] for i in range(len(w)))
+    ww = tuple(w) * 2
+    n = len(w)
+    i = start = 0
+    while i < n:
+        start, j, k = i, i + 1, i
+        # ww[i:j] is a power of a Lyndon word of length j - k, then a proper prefix of it
+        while j < 2 * n and ww[k] <= ww[j]:
+            k = i if ww[k] < ww[j] else k + 1
+            j += 1
+        while i <= k:
+            i += j - k
+    return ww[start : start + n]

@@ -141,7 +141,6 @@ def test_graph_two_cycle_of_bounded_classes():
 def test_graph_reuses_the_reports_period_words(monkeypatch, system_g, doubling):
     import dolrep.engine
     import dolrep.pushy
-    import dolrep.unbounded
 
     two_cycle = make_system({"a": "bb", "b": "aa"}, "aa")
     bounded_two_cycle = make_system({"a": "b", "b": "a1", "1": "2", "2": "1"}, "a")
@@ -152,9 +151,7 @@ def test_graph_reuses_the_reports_period_words(monkeypatch, system_g, doubling):
         raise AssertionError("periodic_factor_graph harvested the period words again")
 
     for module in (dolrep.engine, dolrep.pushy):
-        monkeypatch.setattr(module, "bounded_periodic_classes", harvest_again)
-    for module in (dolrep.engine, dolrep.unbounded):
-        monkeypatch.setattr(module, "unbounded_periodic_classes", harvest_again)
+        monkeypatch.setattr(module, "periodic_words", harvest_again)
     graphs = [periodic_factor_graph(report).edges for report in reports]
     g, (a, b), (one, two) = (
         system_g.alphabet.word("1122"),

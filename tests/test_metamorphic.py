@@ -11,6 +11,7 @@ i < p, so its classes are theirs.
 """
 
 import random
+import time
 
 from dolrep import (
     Alphabet,
@@ -116,6 +117,25 @@ def test_families_pinned():
         report = analyze(system)
         assert report.pushy == pushy, system
         assert _classes(system, report) == classes, system
+
+
+def test_landau_forty_letters_within_five_seconds():
+    # Primes 3-13: 1 + 3 + 5 + 7 + 11 + 13 = 40 letters and one class of
+    # 15 015 blocks of 5 letters.  Canonicalising it by building every
+    # rotation took 30 s.  The report is not rendered: it lists every
+    # conjugate, which is quadratic in the class length.
+    primes = (3, 5, 7, 11, 13)
+    system = _landau(primes)
+    start = time.perf_counter()
+    report = analyze(system)
+    elapsed = time.perf_counter() - start
+    assert len(system.alphabet) == 40
+    [cls] = report.classes
+    assert cls.source.value == "bounded" and len(cls.representative) == 75_075
+    period = " ".join(f"p{p}_{i % p}" for i in range(15_015) for p in primes)
+    found = " ".join(system.alphabet.symbols[a] for a in cls.representative)
+    assert f" {found} " in f" {period} {period} "  # a rotation of the period
+    assert elapsed < 5, elapsed
 
 
 def test_classes_invariant_under_renaming_and_reordering():

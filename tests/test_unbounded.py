@@ -10,8 +10,8 @@ from dolrep import (
     first_letter_candidates,
     lando_periodic_check,
     make_system,
+    periodic_words,
     primitive_root,
-    unbounded_periodic_classes,
 )
 from dolrep.morphism import functional_cycles
 from corpus_util import random_system
@@ -85,16 +85,16 @@ def test_lando_accepted_word_prefixes_iterates(doubling, duplicate_pair):
 
 
 def test_unbounded_classes_examples(system_g, duplicate_pair, thue_morse):
-    assert unbounded_periodic_classes(system_g) == []
-    assert unbounded_periodic_classes(duplicate_pair) == [duplicate_pair.alphabet.word("ab")]
-    assert unbounded_periodic_classes(thue_morse) == []
+    assert periodic_words(system_g)[1] == []
+    assert periodic_words(duplicate_pair)[1] == [duplicate_pair.alphabet.word("ab")]
+    assert periodic_words(thue_morse)[1] == []
 
 
 def test_unbounded_classes_contain_unbounded_letter():
     from dolrep import classify_letters
 
     system = make_system({"a": "bb", "b": "aa"}, "a")
-    classes = unbounded_periodic_classes(system)
+    classes = periodic_words(system)[1]
     cls = classify_letters(system.morphism)
     assert classes
     for v in classes:
@@ -169,9 +169,9 @@ def test_one_check_per_cycle_matches_per_letter_reference():
             continue
         reference = _per_letter_reference(final)
         words = [w for w in reference.values() if w is not None]
-        got = unbounded_periodic_classes(final)
+        got = periodic_words(final)[1]
         assert got == list(dict.fromkeys(words)), final
-        # the sort in unbounded_periodic_classes gives letter order because
+        # the sort in periodic_words gives letter order because
         # each accepted letter's word starts with that letter
         assert all(w[0] == a for a, w in reference.items() if w is not None), final
         assert len({w[0] for w in got}) == len(got), final

@@ -90,6 +90,26 @@ def test_primitive_root_against_divisor_loop():
     assert proper >= 500, proper
 
 
+def _reference_canonical_rotation(word):
+    """The least of all rotations, built one by one."""
+    return min(word[i:] + word[:i] for i in range(len(word)))
+
+
+def test_canonical_rotation_against_all_rotations():
+    rng = random.Random(29)
+    proper = one_letter = 0
+    for _ in range(2400):
+        root = _random_word(rng, max_len=rng.choice((1, 3, 12, 60)), letters=rng.choice((1, 2, 3, 300)))
+        word = root * rng.choice((1, 1, 2, 3, 7))
+        if rng.random() < 0.3:  # words close to a power: one letter changed
+            i = rng.randrange(len(word))
+            word = word[:i] + ((word[i] + 1) % 3,) + word[i + 1 :]
+        assert canonical_rotation(word) == _reference_canonical_rotation(word), word
+        proper += len(primitive_root(word)) < len(word)
+        one_letter += len(word) == 1
+    assert proper >= 500 and one_letter >= 50, (proper, one_letter)
+
+
 def test_root_power_identity_randomized():
     rng = random.Random(7)
     for _ in range(300):
