@@ -15,14 +15,10 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
-from .morphism import D0LSystem, LetterClassification, translate_word
+from .morphism import D0LSystem, EngineInvariantError, LetterClassification, translate_word
 from .pushy import periodic_words
 from .simplify import SimplificationChain, injective_simplification
 from .words import Word, canonical_rotation, conjugates, primitive_root
-
-
-class EngineInvariantError(RuntimeError):
-    """An internal structural invariant failed; indicates an engine bug."""
 
 
 class FactorSource(Enum):

@@ -10,11 +10,16 @@ via the Sardinas-Patterson code test.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
 from .words import Word, _word_str
+
+
+class EngineInvariantError(RuntimeError):
+    """An internal structural invariant failed; indicates an engine bug."""
 
 
 @dataclass(frozen=True)
@@ -332,119 +337,125 @@ def functional_cycles(vertices: Iterable[int], target: Callable[[int], int]) -> 
 
 
 class CodewordIndex:
-    """A set of codewords as a compressed trie, edited in place.
+    """A set of codewords as sorted lists of strings, edited in place.
 
-    Each chain of single-child nodes of the trie is one edge, labelled by a
-    factor of a codeword, and inserting a word adds a leaf and splits at
-    most one edge, so n insertions make at most 2n + 1 nodes.  Words get
-    increasing indices as they are inserted.  Each node holds the index of
-    the codeword ending there and the increasing indices of the codewords
-    through it; these lists total at most the summed codeword length.
-    Deleting a word clears its end mark and its entries in those lists, and
-    unlinks the highest node on its path that no codeword passes through
-    any more, so walks never enter a branch without codewords.  A later
-    insertion of the same word gets a new index.
+    Words get increasing indices as they are inserted and are held as
+    strings of one character per letter, so they slice, compare and hash
+    in C.  The live words are also kept in a dict to their indices and by
+    first letter: per letter, the sorted list of the live words that start
+    with it and the sorted list of their distinct lengths, with a count
+    for each letter and length.  Every proper prefix and extension of a
+    word s starts with s's first letter, so queries look in that letter's
+    lists only.  Deleting a word drops it from these; a later insertion of
+    the same word gets a new index.
 
-    Words are held as strings of one character per letter, so a walk of a
-    word takes one Python step per node on its path and compares each edge
-    with ``str.startswith``, in C and without a copy; codewords off that
-    path cost it nothing.  ``relations`` is the Sardinas-Patterson search
-    on the index, ``factorization`` the product test.
+    The codewords that extend s, s included, are the run of its letter's
+    list that starts where s would go, so one bisection finds them.  The
+    codewords that are proper prefixes of s are bounded by its left
+    neighbour: every codeword p that is a proper prefix of s is a prefix of
+    x, the greatest codeword below s.  Proof: p < s, so p <= x < s.  If x
+    did not start with p, then, as x >= p, x would not be a proper prefix
+    of p either, so it would first differ from p at some k < |p| with
+    x[k] > p[k] = s[k], and x > s.  So the distinct lengths n of the
+    letter, tried in increasing order, stop at the first n with n >= |s| or
+    s[:n] not a prefix of x: no longer prefix of s is a prefix of x.  Each
+    n tried costs one slice and one hash of s[:n].
+
+    The pairs (i, j) of live codewords with i a proper prefix of j, the
+    initial overhangs of ``relations``, are kept in a set: an insertion or
+    deletion adds or drops the pairs of the word, found by that query, so
+    a search does not rescan every codeword.  An edit costs the query, one
+    bisection and the shift of a list.  ``relations`` is the
+    Sardinas-Patterson search on the index, ``factorization`` the product
+    test.
     """
 
     def __init__(self, codewords: Iterable[Word]) -> None:
         self.words: list[Word] = []  # every word inserted, by index
         self.texts: list[str] = []  # the same words as strings
-        # Node 0 is the root.  edges[node] labels the edge into the node, and
-        # children maps the first character of an edge to the node it enters.
-        self.children: list[dict[str, int]] = [{}]
-        self.edges = [""]
-        self.ends = [-1]  # index of the codeword ending at each node, or -1
-        self.through: list[list[int]] = [[]]
-        self.node_of: list[int] = []  # node at which each inserted word ends
+        self._index: dict[str, int] = {}  # each live text to its index
+        self._keys: dict[str, list[str]] = {}  # per first letter, the live texts, sorted
+        self._counts: dict[tuple[str, int], int] = {}  # live texts per first letter and length
+        self._lengths: dict[str, list[int]] = {}  # per first letter, the distinct live lengths, sorted
+        self._pairs: set[tuple[int, int]] = set()  # (i, j) with texts[i] a proper prefix of texts[j]
         for y in codewords:
             self.insert(y)
 
     def insert(self, word: Word) -> int:
         """Add a non-empty word that is not in the set; return its index."""
-        children, edges, ends, through = self.children, self.edges, self.ends, self.through
-        j, n = len(self.texts), len(word)
-        y = _word_str(word)
+        j, y = len(self.texts), _word_str(word)
+        c, n = y[0], len(y)
         self.words.append(word)
         self.texts.append(y)
-        node = d = 0
-        while d < n:
-            child = children[node].get(y[d])
-            if child is None:
-                children[node][y[d]] = node = len(ends)
-                children.append({})
-                edges.append(y[d:])
-                ends.append(-1)
-                through.append([j])
-                break
-            edge = edges[child]
-            if not y.startswith(edge, d):  # split the edge after its common prefix with y
-                lo, hi = 1, min(len(edge), n - d)
-                while lo < hi:
-                    mid = (lo + hi + 1) // 2
-                    if y.startswith(edge[:mid], d):
-                        lo = mid
-                    else:
-                        hi = mid - 1
-                children.append({edge[lo]: child})
-                edges.append(edge[:lo])
-                edges[child] = edge[lo:]
-                ends.append(-1)
-                through.append(through[child][:])
-                child = children[node][y[d]] = len(ends) - 1
-                edge = edges[child]
-            node, d = child, d + len(edge)
-            through[node].append(j)
-        ends[node] = j
-        self.node_of.append(node)
+        for k in self._matches(y):
+            self._pairs.add((k, j) if len(self.texts[k]) < n else (j, k))
+        self._index[y] = j
+        insort(self._keys.setdefault(c, []), y)
+        count = self._counts.get((c, n), 0)
+        self._counts[c, n] = count + 1
+        if not count:
+            insort(self._lengths.setdefault(c, []), n)
         return j
 
     def delete(self, j: int) -> None:
         """Remove the codeword with index j from the set."""
-        y, children, edges, through = self.texts[j], self.children, self.edges, self.through
-        node = d = 0
-        while d < len(y):
-            parent, key = node, y[d]
-            node = children[parent][key]
-            d += len(edges[node])
-            through[node].remove(j)
-            if not through[node]:  # no codeword is left at or below the node
-                del children[parent][key]
-                break
-        self.ends[self.node_of[j]] = -1
+        y = self.texts[j]
+        c, n = y[0], len(y)
+        del self._index[y]
+        keys = self._keys[c]
+        del keys[bisect_left(keys, y)]
+        self._counts[c, n] -= 1
+        if not self._counts[c, n]:
+            lengths = self._lengths[c]
+            del lengths[bisect_left(lengths, n)]
+        for k in self._matches(y):
+            self._pairs.discard((k, j) if len(self.texts[k]) < n else (j, k))
 
     def is_live(self, j: int) -> bool:
         """Whether the word with index j is in the set."""
-        return self.ends[self.node_of[j]] == j
+        return self._index.get(self.texts[j]) == j
+
+    def _matches(self, s: str) -> list[int]:
+        """Indices of the codewords that are prefixes or extensions of s, s included."""
+        keys = self._keys.get(s[0])
+        if not keys:
+            return []
+        index = self._index
+        i = k = bisect_left(keys, s)
+        out = []
+        while k < len(keys) and keys[k].startswith(s):
+            out.append(index[keys[k]])
+            k += 1
+        if i:
+            x = keys[i - 1]
+            for n in self._lengths[s[0]]:
+                if n >= len(s) or not x.startswith(p := s[:n]):
+                    break
+                if p in index:
+                    out.append(index[p])
+        return out
 
     def factorization(self, word: Word) -> list[int] | None:
         """Indices of codewords whose product is word, or None if there are none.
 
-        A walk from each position that a product of codewords reaches marks
-        the positions that one more codeword reaches, so the cost is one
-        walk per reached position.  The product found is the unique one when
-        the set is a code.
+        From each position that a product of codewords reaches, one lookup
+        per live length of the codewords that start with the letter there,
+        shortest first, marks the positions that one more codeword reaches.
+        The product found is the unique one when the set is a code.
         """
-        children, edges, ends = self.children, self.edges, self.ends
+        get, lengths = self._index.get, self._lengths
         y = _word_str(word)
         n = len(y)
         last = [-1] * (n + 1)  # a codeword ending a product at each reached position
         for i in range(n):
             if i and last[i] < 0:
                 continue
-            node, d = children[0].get(y[i]), i
-            while node is not None and y.startswith(edges[node], d):
-                d += len(edges[node])
-                if ends[node] >= 0 and last[d] < 0:
-                    last[d] = ends[node]
-                if d == n:
+            for m in lengths.get(y[i], ()):
+                d = i + m
+                if d > n:
                     break
-                node = children[node].get(y[d])
+                if last[d] < 0:
+                    last[d] = get(y[i:d], -1)
             if last[n] >= 0:
                 break
         if last[n] < 0:
@@ -463,10 +474,9 @@ class CodewordIndex:
         initial state is an overhang y = x s, x a proper prefix of the
         codeword y, with ahead = [y] and behind = [x]; a state whose s is a
         codeword completes a relation.  A suffix already met is not met
-        again.  One walk of s finds the codeword equal to s, the codewords
-        that are proper prefixes of s and those that properly extend it.
-        They are taken in increasing index, as a scan of every codeword
-        would meet them.
+        again.  The codewords that are proper prefixes or extensions of s
+        are taken in increasing index, as a scan of every codeword would
+        meet them.
 
         A state holds its suffix, its parent state and the codeword that
         extended the parent, so its size does not grow with its depth;
@@ -480,51 +490,28 @@ class CodewordIndex:
         level are only tested for completion.  The set must not change
         while the search runs.
         """
-        texts, children, edges, ends, through = (
-            self.texts, self.children, self.edges, self.ends, self.through
-        )
+        texts, index = self.texts, self._index
         seen: set[str] = set()
         # state: (suffix s, parent, codeword appended to behind, whether ahead
         # and behind then swap); an initial state is (s, None, y, x).
         level: list[tuple] = []
-        for i, x in enumerate(texts):
-            node = self.node_of[i]
-            if ends[node] != i:
-                continue
-            for j in through[node]:
-                if j != i:
-                    s = texts[j][len(x) :]
-                    if s not in seen:
-                        seen.add(s)
-                        level.append((s, None, j, i))
+        for i, j in sorted(self._pairs):
+            s = texts[j][len(texts[i]) :]
+            if s not in seen:
+                seen.add(s)
+                level.append((s, None, j, i))
         found = False
         while level and not found:
             deeper: list[tuple] = []
             for state in level:
                 s = state[0]
-                matches: list[int] = []  # codewords that are proper prefixes or extensions of s
-                node = d = 0
-                while d < len(s):
-                    child = children[node].get(s[d])
-                    if child is None:
-                        break
-                    edge = edges[child]
-                    if not s.startswith(edge, d):
-                        if d + len(edge) > len(s) and edge.startswith(s[d:]):  # s ends inside it
-                            matches.extend(through[child])
-                        break
-                    node, d = child, d + len(edge)
-                    if d < len(s) and ends[node] >= 0:
-                        matches.append(ends[node])
-                else:
-                    if ends[node] >= 0:
-                        found = True
-                        yield state, ends[node]
-                        continue
-                    matches.extend(through[node])
+                if s in index:
+                    found = True
+                    yield state, index[s]
+                    continue
                 if found:
                     continue
-                for j in sorted(matches):
+                for j in sorted(self._matches(s)):
                     y = texts[j]
                     if len(y) > len(s):
                         t = y[len(s) :]
@@ -579,9 +566,11 @@ def code_witness(codewords: Sequence[Word]) -> tuple[tuple[int, ...], tuple[int,
     those two heads is a proper prefix of the longer: every state descends
     from an initial overhang y = x s with x a proper prefix of y.
 
-    Building the index costs one trie walk per word.  Each state costs one
-    walk of its suffix, one Python step per trie node on the path, plus the
-    codewords that match it.
+    Building the index costs one query per word.  Each state costs one
+    query of its suffix s: a bisection in the list of s's first letter,
+    one slice and hash of s[:n] for each length n of that list up to the
+    first whose prefix leaves s's left neighbour, plus the codewords that
+    match it.
     """
     words = [tuple(w) for w in codewords]
     if any(not w for w in words):

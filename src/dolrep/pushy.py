@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-from .morphism import D0LSystem, Morphism, functional_cycles
+from .morphism import D0LSystem, EngineInvariantError, Morphism, functional_cycles
 from .unbounded import lando_periodic_check
 from .words import Word, primitive_root
 
@@ -44,7 +44,7 @@ def build_side_graph(system: D0LSystem, side: Side) -> dict[int, tuple[int, Word
         img = phi.image(a)
         positions = [i for i, b in enumerate(img) if b in cls.unbounded]
         if not positions:
-            raise AssertionError("unbounded letter with bounded-only image")
+            raise EngineInvariantError("unbounded letter with bounded-only image")
         if side is Side.RIGHT:
             j = positions[-1]
             edges[a] = (img[j], img[j + 1 :])

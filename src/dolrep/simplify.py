@@ -12,15 +12,15 @@ it, and its base is a code Y with X in Y*.  When X is not a code, the defect
 theorem gives #Y < #X, so code reduction shrinks the alphabet
 (Berstel, Perrin & Reutenauer, *Codes and Automata*, ch. 1).
 
-Code reduction holds Y in one ``CodewordIndex``, the compressed trie of
-``morphism.py``, built once per step from X and edited in place.  Each
-round is one breadth-first Sardinas-Patterson search on that index, cut at
-the end of the first level that completes a relation, and every relation
-of that level is applied: its longer head codeword v = u t is dropped when
-the rest of Y generates it, and otherwise replaced by t.  When a search
-finds no relation, Y is the base, and each image is spelled once by its
-unique factorization over Y.  ``_reduce_to_code`` gives the soundness
-argument, the reason for the level cut and the costs.
+Code reduction holds Y in one ``CodewordIndex`` of ``morphism.py``, sorted
+lists of its words by first letter, built once per step from X and edited
+in place.  Each round is one breadth-first Sardinas-Patterson search on
+that index, cut at the end of the first level that completes a relation,
+and every relation of that level is applied: its longer head codeword
+v = u t is dropped when the rest of Y generates it, and otherwise replaced
+by t.  When a search finds no relation, Y is the base, and each image is
+spelled once by its unique factorization over Y.  ``_reduce_to_code``
+gives the soundness argument, the reason for the level cut and the costs.
 """
 
 from __future__ import annotations
@@ -150,13 +150,15 @@ def _reduce_to_code(images: tuple[Word, ...]) -> list[list[Word]] | None:
     in some spelling, since without it the images would lie in a smaller
     free submonoid.
 
-    Cost: the index is built once, in time linear in the summed length of
-    X up to one trie walk per word.  A round costs one search, plus, for
-    each applied relation, a deletion, a factorization of v (one trie walk
-    per position of v that products of Y reach) and at most one insertion.
-    The index takes space linear in the summed length of the words ever
-    inserted; a search holds one state per distinct dangling suffix, each a
-    copy of that suffix at one character per letter.
+    Cost: the index is built once, with one prefix query and one insertion
+    into a sorted list per word.  A round costs one search, plus, for each
+    applied relation, a deletion, a factorization of v (one dict lookup
+    per live length of the codewords that start with the letter there, at
+    each position of v that products of Y reach) and at most one
+    insertion.  The index takes space linear in the summed length of the
+    words ever inserted, as a word has fewer codewords as proper prefixes
+    than it has letters; a search holds one state per distinct dangling
+    suffix, each a copy of that suffix at one character per letter.
 
     This loop is also the injectivity test of a non-erasing morphism with
     distinct images: its first search finds no relation exactly when the

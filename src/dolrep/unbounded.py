@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterator, Sequence
 
-from .morphism import D0LSystem, Morphism, functional_cycles
+from .morphism import D0LSystem, EngineInvariantError, Morphism, functional_cycles
 from .words import Word
 
 
@@ -93,7 +93,7 @@ def _prefix_before_second(phi: Morphism, letter: int, depth: int) -> Word:
             if occurrences == 2:
                 return tuple(prefix)
         prefix.append(c)
-    raise AssertionError("second occurrence promised by the count vector is missing")
+    raise EngineInvariantError("second occurrence promised by the count vector is missing")
 
 
 def lando_periodic_check(phi: Morphism, exponent: int, letter: int) -> Word | None:
@@ -140,5 +140,5 @@ def lando_periodic_check(phi: Morphism, exponent: int, letter: int) -> Word | No
         return None
     if m < 2:
         # v starts with an unbounded letter, so psi(v) = v is impossible.
-        raise AssertionError("psi(v) = v contradicts unboundedness of the candidate letter")
+        raise EngineInvariantError("psi(v) = v contradicts unboundedness of the candidate letter")
     return v

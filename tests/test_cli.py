@@ -204,6 +204,20 @@ def test_run_internal_error_exit_code(tmp_path, monkeypatch, capsys):
     assert "internal error" in capsys.readouterr().err
 
 
+def test_run_invariant_failure_in_lando_check_exit_code(tmp_path, monkeypatch, capsys):
+    # a -> a a repeats a in phi(a), so the Lando check reads the prefix
+    # before the second a; with no letters expanded that occurrence is
+    # missing, which must end as a typed internal error, not a traceback.
+    import dolrep.unbounded
+
+    monkeypatch.setattr(dolrep.unbounded, "_expand", lambda phi, word, depth: iter(()))
+    rc = run(["analyze", _write(tmp_path, "aa.dol", "alphabet: a\naxiom: a\na -> a a\n")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("internal error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_run_verify_disagreement_exit_code(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "observed_classes", lambda system, params: set())
     rc = run(["analyze", _write(tmp_path, "g.dol", G_FILE), "--verify"])

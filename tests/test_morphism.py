@@ -298,7 +298,8 @@ def test_codeword_index_edits_against_rebuilt_sets():
                 index.delete(j)
                 del live[j]
                 continue
-            word = tuple(rng.randrange(letters) for _ in range(rng.randint(1, 5)))
+            longest = rng.choice((5, 5, 12))
+            word = tuple(rng.randrange(letters) for _ in range(rng.randint(1, longest)))
             if word not in live.values():
                 reinserted += word in index.words
                 live[index.insert(word)] = word

@@ -390,7 +390,7 @@ def _reference_reduce_to_code(images):
 
 def test_reduce_to_code_matches_reference_loop():
     rng = random.Random(1101)
-    non_codes = {"short": 0, "long": 0, "wide": 0}
+    non_codes = {"short": 0, "long": 0, "wide": 0, "lengths": 0, "prefixes": 0}
     for k in range(20_000):
         if k % 200 == 0:
             # concatenations of a few short blocks: images past 1 000 letters
@@ -402,6 +402,17 @@ def test_reduce_to_code_matches_reference_loop():
             # images of length 1-3 over n letters, drawn as by perfbench's wide_raw
             family, n = "wide", rng.randint(64, 256)
             pool = {tuple(rng.randrange(n) for _ in range(rng.randint(1, 3))) for _ in range(n)}
+        elif k % 200 == 2:
+            # one word of each length in a random subset of 1-40
+            family, letters = "lengths", rng.randint(1, 3)
+            lengths = rng.sample(range(1, 41), rng.randint(2, 12))
+            pool = {tuple(rng.randrange(letters) for _ in range(n)) for n in lengths}
+        elif k % 200 == 3:
+            # prefixes of one 30-letter word, plus a few short words
+            family, letters = "prefixes", rng.randint(1, 3)
+            word = tuple(rng.randrange(letters) for _ in range(30))
+            pool = {word[: rng.randint(1, 30)] for _ in range(rng.randint(2, 8))}
+            pool |= {tuple(rng.randrange(letters) for _ in range(rng.randint(1, 3))) for _ in range(rng.randint(1, 3))}
         else:
             family, letters = "short", rng.randint(1, 4)
             pool = {
@@ -415,6 +426,7 @@ def test_reduce_to_code_matches_reference_loop():
         assert spelled == _reference_reduce_to_code(images), images
         non_codes[family] += spelled is not None
     assert non_codes["short"] >= 10_000 and non_codes["long"] >= 40 and non_codes["wide"] >= 90, non_codes
+    assert non_codes["lengths"] >= 35 and non_codes["prefixes"] >= 50, non_codes
 
 
 def test_analyze_never_runs_injectivity_witness(monkeypatch, example1_f):
