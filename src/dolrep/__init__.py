@@ -25,7 +25,6 @@ from .morphism import (
     injectivity_witness,
     is_injective,
     make_system,
-    translate_word,
 )
 from .oracle import OracleParams, OracleResourceError, factors_up_to, max_power, observed_classes
 from .pushy import Side, bounded_periodic_classes, build_side_graph, cycles, is_pushy, periodic_words

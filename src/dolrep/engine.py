@@ -3,10 +3,19 @@
 The pipeline reduces the input, simplifies it to an injective system,
 collects the period words of both the bounded-letter and unbounded-letter
 infinite periodic factors of the final system in one side-graph stage
-(``pushy.periodic_words``), maps them back through the chain, and
-canonicalizes them into conjugacy classes over the original alphabet.  A
-system whose reduced alphabet has no unbounded letter has a finite
-language and is reported as neither pushy nor repetitive.
+(``pushy.periodic_words``), maps each back through the chain to its
+primitive root (``SimplificationChain.map_back``), and canonicalizes it
+into a conjugacy class over the original alphabet.  A system whose reduced
+alphabet has no unbounded letter has a finite language and is reported as
+neither pushy nor repetitive.
+
+A class takes its source from the list its period came from.  Each step
+has f^n o k = k o g^n; with F, G the chain's first and last morphisms and
+K its k's composed, F^n o K = K o G^n.  So a bounded letter b of G has
+|F^n(K(b))| = |K(G^n(b))| bounded in n: K(b) holds bounded letters only.
+An accepted unbounded period v has G^l(v) = v^m with m >= 2, and G is
+non-erasing, so K(v) is not empty and F^l(K(v)) = K(v)^m: K(v) holds a
+letter that F does not bound.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
-from .morphism import D0LSystem, EngineInvariantError, LetterClassification, translate_word
+from .morphism import D0LSystem, EngineInvariantError, LetterClassification
 from .pushy import periodic_words
 from .simplify import SimplificationChain, injective_simplification
 from .words import Word, canonical_rotation, conjugates, primitive_root
@@ -77,18 +86,13 @@ def analyze(system: D0LSystem) -> AnalysisReport:
     if reduced.morphism.classification.unbounded:
         chain = injective_simplification(reduced)
         bounded_periods, unbounded_periods = map(tuple, periodic_words(chain.final_system))
-    bounded_letters = system.morphism.classification.bounded
+    # Reduction keeps symbols, so a reduced letter's id in the input is its symbol's.
+    letter_ids = [system.alphabet.letter(s) for s in reduced.alphabet.symbols]
     classes: dict[Word, PeriodicFactorClass] = {}
-    for word in bounded_periods + unbounded_periods:
-        back = translate_word(chain.map_back(word), reduced.alphabet, system.alphabet)
-        representative = canonical_rotation(primitive_root(back))
-        if representative in classes:
-            continue
-        bounded = all(a in bounded_letters for a in representative)
-        classes[representative] = PeriodicFactorClass(
-            representative=representative,
-            source=FactorSource.BOUNDED if bounded else FactorSource.UNBOUNDED,
-        )
+    for source, periods in zip(FactorSource, (bounded_periods, unbounded_periods)):
+        for word in periods:
+            representative = canonical_rotation([letter_ids[a] for a in chain.map_back(word)])
+            classes.setdefault(representative, PeriodicFactorClass(representative, source))
 
     ordered = tuple(classes[r] for r in sorted(classes))
     return AnalysisReport(system, chain, bounded_periods, unbounded_periods, ordered)

@@ -63,11 +63,6 @@ class Alphabet:
         return sep.join(self.symbols[a] for a in word)
 
 
-def translate_word(word: Sequence[int], src: Alphabet, dst: Alphabet) -> Word:
-    """Re-express a word over src in dst's letter ids, matching by symbol."""
-    return tuple(dst.letter(src.symbols[a]) for a in word)
-
-
 @dataclass(frozen=True)
 class Morphism:
     """Per-letter image table from a source alphabet into a target alphabet."""

@@ -4,8 +4,10 @@ A single simplification of an endomorphism f on A is a pair of morphisms
 h: A* -> B*, k: B* -> A* with #B < #A and k o h = f; the simplified
 endomorphism is g = h o k on B.  Three constructions cover every
 non-injective case, applied in priority order until the morphism is
-injective: delete an erasing letter, merge letters with identical images,
-and replace the image set by the base of its free hull.
+injective: delete every erasing letter at once (so the erasing steps
+number the mortality depth, not the mortal letters), merge letters with
+identical images, and replace the image set by the base of its free hull.
+A period of the final system comes back through each k as a primitive root.
 
 The free hull of a set X of words is the smallest free submonoid containing
 it, and its base is a code Y with X in Y*.  When X is not a code, the defect
@@ -35,7 +37,7 @@ from .morphism import (
     compose,
     relation_heads,
 )
-from .words import Word
+from .words import Word, primitive_root
 
 
 class SimplificationError(RuntimeError):
@@ -65,25 +67,22 @@ def _checked_step(kind: str, f: Morphism, h: Morphism, k: Morphism) -> Simplific
 
 
 def eliminate_erasing(f: Morphism) -> SimplificationStep:
-    """Delete the lowest-id letter with an empty image.
+    """Delete every letter with an empty image in one step.
 
-    h projects the letter away, k keeps the remaining images verbatim, so
-    k o h = f holds exactly and g = h o k drops the letter from all images.
+    h sends the erasing letters to the empty word and every other letter to
+    itself, k keeps the other images verbatim, so k o h = f holds exactly
+    and g = h o k drops the erasing letters from all images.
     """
     if not f.is_endomorphism():
         raise ValueError("simplification applies to endomorphisms")
-    erasing = [a for a in range(len(f.source)) if not f.image(a)]
-    if not erasing:
+    keep = [a for a in range(len(f.source)) if f.image(a)]
+    if len(keep) == len(f.source):
         raise ValueError("no erasing letter to eliminate")
-    if len(f.source) == 1:
-        raise SimplificationError(
-            "cannot eliminate the only letter: the system's language is finite"
-        )
-    z = erasing[0]
-    keep = [a for a in range(len(f.source)) if a != z]
+    if not keep:
+        raise SimplificationError("cannot eliminate every letter: the language is finite")
     sub = Alphabet(tuple(f.source.symbols[a] for a in keep))
-    renum = {a: i for i, a in enumerate(keep)}
-    h = Morphism(f.source, sub, tuple(() if a == z else (renum[a],) for a in range(len(f.source))))
+    renum = {a: (i,) for i, a in enumerate(keep)}
+    h = Morphism(f.source, sub, tuple(renum.get(a, ()) for a in range(len(f.source))))
     k = Morphism(sub, f.source, tuple(f.image(a) for a in keep))
     return _checked_step("erasing-elimination", f, h, k)
 
@@ -230,8 +229,8 @@ class SimplificationChain:
     representative for a merge, each member of the code for code
     reduction), so every new letter is reachable when every old one is.
     Each step's target alphabet is therefore the next system's alphabet, and
-    ``map_back`` undoes the chain on words by applying each step's k in
-    reverse order.
+    ``map_back`` carries a word of the final system back to the input's
+    alphabet through each step's k in reverse order.
     """
 
     steps: tuple[SimplificationStep, ...]
@@ -242,10 +241,15 @@ class SimplificationChain:
         return self.systems[-1]
 
     def map_back(self, word: Word) -> Word:
-        """Map a word over the final alphabet back to the original alphabet."""
-        out = tuple(word)
+        """The primitive root of k_1(k_2(... k_n(word))), over systems[0]'s alphabet.
+
+        The root is taken after each k, which is exact as every k is
+        non-erasing and k(r^m) = k(r)^m.  So each word carried back is the
+        root of a repetition of one of the chain's systems, never a power.
+        """
+        out = primitive_root(word)
         for step in reversed(self.steps):
-            out = step.k(out)
+            out = primitive_root(step.k(out))
         return out
 
 
@@ -258,27 +262,23 @@ def injective_simplification(system: D0LSystem) -> SimplificationChain:
     its images form a code, so the free-hull loop of code reduction is also
     the injectivity test: the chain ends when it finds no relation.  An
     already-injective system yields an empty chain.  Every system of the
-    chain is reduced as built (see ``SimplificationChain``).
+    chain is reduced as built (see ``SimplificationChain``), and h(axiom) is
+    never empty: only erasing elimination's h erases, and a reduced system
+    whose axiom holds only erasing letters has no other letter, which
+    ``eliminate_erasing`` refuses.
     """
     if not system.is_reduced():
         raise ValueError("injective_simplification expects a reduced system")
     systems = [system]
     steps: list[SimplificationStep] = []
-    current = system
     while True:
-        f = current.morphism
+        f = systems[-1].morphism
         if f.is_erasing():
             step = eliminate_erasing(f)
         elif len(set(f.images)) != len(f.images):
             step = merge_duplicate_images(f)
         elif (step := _code_step(f)) is None:
             break
-        new_axiom = step.h(current.axiom)
-        if not new_axiom:
-            raise SimplificationError(
-                "axiom erased during simplification: the system's language is finite"
-            )
-        current = D0LSystem(step.simplified(), new_axiom)
         steps.append(step)
-        systems.append(current)
+        systems.append(D0LSystem(step.simplified(), step.h(systems[-1].axiom)))
     return SimplificationChain(tuple(steps), tuple(systems))

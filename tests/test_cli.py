@@ -2,6 +2,7 @@ import io
 import json
 import os
 import random
+import resource
 import signal
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import dolrep
 from dolrep import analyze, cli
 from dolrep.cli import ParseError, parse_system, report_to_dict, run, serialize_system
 from corpus_util import random_system
+from test_metamorphic import _family_e, _family_e_prime
 
 G_FILE = """\
 # Example system
@@ -458,3 +460,28 @@ def test_out_of_memory_exits_5(tmp_path):
     proc = _main_after(_address_space_limit(200), _write(tmp_path, "b20.dol", _family_b_file(20)))
     assert proc.returncode == 5, proc.stderr
     assert proc.stderr == "error: out of memory\n"
+
+
+def _cap_address_space_at_one_gib() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("family", [_family_e, _family_e_prime])
+def test_a_thousand_erasing_letters_map_back_in_linear_space(family):
+    # Pushing the period z through one k per erasing step doubles it each
+    # time: 2^1000 letters, where the primitive root stays z.
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "dolrep", "analyze", "-"],
+        input=serialize_system(family(1000)),
+        capture_output=True,
+        text=True,
+        env=_src_env(),
+        preexec_fn=_cap_address_space_at_one_gib,
+        timeout=60,
+    )
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    assert "infinite periodic factor classes: 1\n" in proc.stdout
+    assert "representative z; source unbounded; conjugates: z\n" in proc.stdout
+    assert elapsed < 5, elapsed

@@ -96,7 +96,15 @@ def test_back_mapping_through_erasing_steps():
     assert [s.kind for s in report.chain.steps] == ["erasing-elimination"]
     assert [c.representative for c in report.classes] == [alph.word("aaz")]
 
-    # two erasing letters, one eliminated per step
+    # two letters erasing at once: one step
+    system = make_system({"a": "aazy", "z": "", "y": ""}, "a")
+    report = analyze(system)
+    assert [s.kind for s in report.chain.steps] == ["erasing-elimination"]
+    assert [(c.representative, c.source.value) for c in report.classes] == [
+        (system.alphabet.word("aazy"), "unbounded")
+    ]
+
+    # y dies one step after z: one step per level of mortality
     system = make_system({"a": "aazy", "z": "", "y": "z"}, "a")
     report = analyze(system)
     alph = system.alphabet

@@ -52,9 +52,9 @@ def _cyclic(length: int) -> D0LSystem:
     return D0LSystem(Morphism(alphabet, alphabet, images), (0,))
 
 
-def _system(rules: dict[str, tuple[str, ...]], axiom: str) -> D0LSystem:
+def _system(rules: dict[str, tuple[str, ...]], *axiom: str) -> D0LSystem:
     alphabet = Alphabet(tuple(rules))
-    return D0LSystem(Morphism.from_rules(alphabet, alphabet, rules), (alphabet.letter(axiom),))
+    return D0LSystem(Morphism.from_rules(alphabet, alphabet, rules), alphabet.word(axiom))
 
 
 def _chain(name: str, k: int, image, last: tuple[str, ...]) -> dict[str, tuple[str, ...]]:
@@ -93,6 +93,19 @@ def _family_c(length: int) -> D0LSystem:
     return _system({**rules, "b": ("b",)}, "a0")
 
 
+def _family_e(m: int) -> D0LSystem:
+    """z -> z z, e_1 .. e_m -> empty, axiom z e_1 .. e_m: class z, and m
+    letters that erase at once."""
+    erasing = {f"e{i}": () for i in range(1, m + 1)}
+    return _system({"z": ("z", "z"), **erasing}, "z", *erasing)
+
+
+def _family_e_prime(m: int) -> D0LSystem:
+    """z -> z z, e_i -> e_(i+1), e_m -> empty, axiom z e_1: class z, and a
+    chain of m letters that die one per step."""
+    return _system({"z": ("z", "z"), **_chain("e", m, lambda e: (e,), ())}, "z", "e1")
+
+
 def _rotations(word: tuple[str, ...]) -> frozenset[tuple[str, ...]]:
     return frozenset(word[i:] + word[:i] for i in range(len(word)))
 
@@ -107,6 +120,8 @@ FAMILIES = [
     (_family_b(8), False, set()),
     (_landau((2, 3, 5)), True, {(_rotations(_LANDAU_PERIOD), "bounded")}),
     (_family_c(30), True, {(_rotations(("b",)), "bounded")}),
+    (_family_e(8), False, {(_rotations(("z",)), "unbounded")}),
+    (_family_e_prime(8), False, {(_rotations(("z",)), "unbounded")}),
 ]
 # The named systems that the relations below check along with random ones.
 EXTRA = [_cyclic(50)] + [system for system, _, _ in FAMILIES]

@@ -47,6 +47,18 @@ def test_eliminate_erasing_inside_image():
     assert step.simplified().image(0) == (0,)
 
 
+def test_eliminate_erasing_removes_every_erasing_letter():
+    system = make_system({"a": "aazy", "z": "", "y": ""}, "a")
+    step = eliminate_erasing(system.morphism)
+    assert step.h.target.symbols == ("a",)
+    assert compose(step.k, step.h) == system.morphism
+    assert step.simplified().image(0) == (0, 0)
+    chain = injective_simplification(system)
+    assert [s.kind for s in chain.steps] == ["erasing-elimination"]
+    [cls] = analyze(system).classes
+    assert (cls.representative, cls.source.value) == (system.alphabet.word("aazy"), "unbounded")
+
+
 def test_eliminate_erasing_threads_axiom():
     system = make_system({"a": "a", "z": ""}, "az")
     chain = injective_simplification(system)
