@@ -116,15 +116,15 @@ def parse_system(text: str) -> D0LSystem:
 
 
 def serialize_system(system: D0LSystem) -> str:
-    """Render a system back into the file format (re-parses identically)."""
-    alphabet = system.alphabet
-    lines = [
-        "alphabet: " + " ".join(alphabet.symbols),
-        "axiom: " + " ".join(alphabet.symbols[a] for a in system.axiom),
-    ]
-    for a in range(len(alphabet)):
-        image = " ".join(alphabet.symbols[b] for b in system.morphism.image(a))
-        lines.append(f"{alphabet.symbols[a]} -> {image}".rstrip())
+    """Render a system back into the file format (re-parses identically);
+    ValueError on a symbol with a '#', which starts a comment, or '->'."""
+    symbols = system.alphabet.symbols
+    for s in symbols:
+        if "#" in s or s == "->":
+            raise ValueError(f"symbol {s!r} cannot be written to a system file")
+    text = lambda word: " ".join(symbols[a] for a in word)
+    lines = [f"alphabet: {' '.join(symbols)}", f"axiom: {text(system.axiom)}"]
+    lines += (f"{s} -> {text(image)}".rstrip() for s, image in zip(symbols, system.morphism.images))
     return "\n".join(lines) + "\n"
 
 
@@ -168,28 +168,26 @@ def report_to_dict(report: AnalysisReport) -> dict:
 
 
 def format_report(report: AnalysisReport) -> str:
-    alphabet = report.original.alphabet
+    """The text report, rendered from ``report_to_dict``'s model alone."""
+    data = report_to_dict(report)
+    sep = "" if all(len(s) == 1 for s in data["system"]["alphabet"]) else " "
+    steps = ", ".join(
+        f"{step['kind']} ({len(step['from_alphabet'])} -> {len(step['to_alphabet'])} letters)"
+        for step in data["simplification_steps"]
+    )
     lines = [
-        f"system: alphabet {{{', '.join(alphabet.symbols)}}}; axiom {alphabet.text(report.original.axiom)}",
-        f"pushy: {'yes' if report.pushy else 'no'}",
-        f"repetitive: {'yes' if report.repetitive else 'no'}",
-        f"strongly repetitive: {'yes' if report.strongly_repetitive else 'no'}",
-        "bounded letters: "
-        + (" ".join(alphabet.symbols[a] for a in sorted(report.classification.bounded)) or "(none)"),
+        f"system: alphabet {{{', '.join(data['system']['alphabet'])}}}; axiom {sep.join(data['system']['axiom'])}",
+        f"pushy: {'yes' if data['pushy'] else 'no'}",
+        f"repetitive: {'yes' if data['repetitive'] else 'no'}",
+        f"strongly repetitive: {'yes' if data['strongly_repetitive'] else 'no'}",
+        f"bounded letters: {' '.join(data['bounded_letters']) or '(none)'}",
+        f"simplification: {steps or 'none needed'}",
+        f"infinite periodic factor classes: {len(data['classes'])}",
     ]
-    if report.chain.steps:
-        summary = ", ".join(
-            f"{step.kind} ({len(step.h.source)} -> {len(step.h.target)} letters)"
-            for step in report.chain.steps
-        )
-        lines.append(f"simplification: {summary}")
-    else:
-        lines.append("simplification: none needed")
-    lines.append(f"infinite periodic factor classes: {len(report.classes)}")
-    for cls in report.classes:
-        rep = alphabet.text(cls.representative)
-        conj = ", ".join(alphabet.text(w) for w in sorted(cls.conjugates))
-        lines.append(f"  representative {rep}; source {cls.source.value}; conjugates: {conj}")
+    for cls in data["classes"]:
+        rep = sep.join(cls["representative"])
+        conj = ", ".join(sep.join(w) for w in cls["conjugates"])
+        lines.append(f"  representative {rep}; source {cls['source']}; conjugates: {conj}")
     return "\n".join(lines) + "\n"
 
 

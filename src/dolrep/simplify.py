@@ -9,6 +9,10 @@ number the mortality depth, not the mortal letters), merge letters with
 identical images, and replace the image set by the base of its free hull.
 A period of the final system comes back through each k as a primitive root.
 
+``_step`` builds and checks (k o h = f, #B < #A) every step.  Erasing
+elimination and the merge are letter quotients, ``_quotient``: h sends each
+letter to its representative, or to the empty word where f erases it.
+
 The free hull of a set X of words is the smallest free submonoid containing
 it, and its base is a code Y with X in Y*.  When X is not a code, the defect
 theorem gives #Y < #X, so code reduction shrinks the alphabet
@@ -57,13 +61,29 @@ class SimplificationStep:
         return compose(self.h, self.k)
 
 
-def _checked_step(kind: str, f: Morphism, h: Morphism, k: Morphism) -> SimplificationStep:
-    # Hard postcondition of every construction below, never skipped.
+def _step(
+    kind: str, f: Morphism, symbols: list[str], h_images: list[Word], k_images: list[Word]
+) -> SimplificationStep:
+    """The step (h, k) of f onto letters named by symbols, h and k given by
+    their images; raises SimplificationError unless k o h = f and #B < #A."""
+    target = Alphabet(symbols)
+    h = Morphism(f.source, target, h_images)
+    k = Morphism(target, f.source, k_images)
+    # Hard postcondition of every step, never skipped.
     if compose(k, h) != f:
         raise SimplificationError(f"{kind}: k o h does not reproduce the input morphism")
-    if len(h.target) >= len(h.source):
+    if len(target) >= len(f.source):
         raise SimplificationError(f"{kind}: alphabet did not shrink")
     return SimplificationStep(kind, h, k)
+
+
+def _quotient(kind: str, f: Morphism, rep: list[int | None]) -> SimplificationStep:
+    """The step onto the letters a with rep[a] == a, under their symbols: h
+    sends a to rep[a], or erases it where rep[a] is None, and k sends r to f(r)."""
+    reps = [a for a, r in enumerate(rep) if r == a]
+    new = {a: (i,) for i, a in enumerate(reps)}
+    symbols = [f.source.symbols[a] for a in reps]
+    return _step(kind, f, symbols, [new.get(r, ()) for r in rep], [f.images[a] for a in reps])
 
 
 def eliminate_erasing(f: Morphism) -> SimplificationStep:
@@ -75,16 +95,12 @@ def eliminate_erasing(f: Morphism) -> SimplificationStep:
     """
     if not f.is_endomorphism():
         raise ValueError("simplification applies to endomorphisms")
-    keep = [a for a in range(len(f.source)) if f.image(a)]
-    if len(keep) == len(f.source):
+    rep = [a if image else None for a, image in enumerate(f.images)]
+    if None not in rep:
         raise ValueError("no erasing letter to eliminate")
-    if not keep:
+    if rep.count(None) == len(rep):
         raise SimplificationError("cannot eliminate every letter: the language is finite")
-    sub = Alphabet(tuple(f.source.symbols[a] for a in keep))
-    renum = {a: (i,) for i, a in enumerate(keep)}
-    h = Morphism(f.source, sub, tuple(renum.get(a, ()) for a in range(len(f.source))))
-    k = Morphism(sub, f.source, tuple(f.image(a) for a in keep))
-    return _checked_step("erasing-elimination", f, h, k)
+    return _quotient("erasing-elimination", f, rep)
 
 
 def merge_duplicate_images(f: Morphism) -> SimplificationStep:
@@ -98,18 +114,10 @@ def merge_duplicate_images(f: Morphism) -> SimplificationStep:
     if f.is_erasing():
         raise ValueError("merge requires a non-erasing morphism")
     rep_of_image: dict[Word, int] = {}
-    for a in range(len(f.source)):
-        rep_of_image.setdefault(f.image(a), a)
+    rep = [rep_of_image.setdefault(image, a) for a, image in enumerate(f.images)]
     if len(rep_of_image) == len(f.source):
         raise ValueError("no two letters share an image")
-    reps = sorted(rep_of_image.values())
-    sub = Alphabet(tuple(f.source.symbols[a] for a in reps))
-    renum = {a: i for i, a in enumerate(reps)}
-    h = Morphism(
-        f.source, sub, tuple((renum[rep_of_image[f.image(a)]],) for a in range(len(f.source)))
-    )
-    k = Morphism(sub, f.source, tuple(f.image(a) for a in reps))
-    return _checked_step("duplicate-merge", f, h, k)
+    return _quotient("duplicate-merge", f, rep)
 
 
 def _reduce_to_code(images: tuple[Word, ...]) -> list[list[Word]] | None:
@@ -192,10 +200,8 @@ def _code_step(f: Morphism) -> SimplificationStep | None:
         return None
     ordered = sorted({y for spelling in spelled for y in spelling}, key=lambda w: (len(w), w))
     index = {y: i for i, y in enumerate(ordered)}
-    fresh = Alphabet(tuple(f"x{i}" for i in range(len(ordered))))
-    k = Morphism(fresh, f.source, tuple(ordered))
-    h = Morphism(f.source, fresh, tuple(tuple(index[y] for y in spelling) for spelling in spelled))
-    return _checked_step("code-reduction", f, h, k)
+    h_images = [tuple(index[y] for y in spelling) for spelling in spelled]
+    return _step("code-reduction", f, [f"x{i}" for i in range(len(ordered))], h_images, ordered)
 
 
 def code_reduce(f: Morphism) -> SimplificationStep:

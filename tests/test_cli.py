@@ -81,11 +81,25 @@ def test_parse_errors(text, line, fragment):
     assert fragment in str(exc.value)
 
 
+def _two_letter_system(symbols: tuple[str, str]) -> dolrep.D0LSystem:
+    alphabet = dolrep.Alphabet(symbols)
+    return dolrep.D0LSystem(dolrep.Morphism(alphabet, alphabet, ((0, 1), (1,))), (0,))
+
+
 def test_serialize_round_trips(system_g, system_h, thue_morse):
-    for system in (system_g, system_h, thue_morse):
+    # The declaration keywords are plain symbols after the first token of a line.
+    keywords = _two_letter_system(("alphabet:", "axiom:"))
+    for system in (system_g, system_h, thue_morse, keywords):
         text = serialize_system(system)
         assert parse_system(text) == system
         assert serialize_system(parse_system(text)) == text
+
+
+# '#' would start a comment, and parse_system refuses '->' as a symbol.
+@pytest.mark.parametrize("symbol", ["a#", "->"])
+def test_serialize_refuses_a_symbol_the_format_cannot_hold(symbol):
+    with pytest.raises(ValueError, match=f"symbol {symbol!r}"):
+        serialize_system(_two_letter_system((symbol, "b")))
 
 
 def test_report_dict_schema(system_g):
