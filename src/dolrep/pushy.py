@@ -11,11 +11,14 @@ first-letter graph a -> first(phi(a)) through unbounded letters, the
 candidates of Lando's check in :mod:`dolrep.unbounded`.  So
 ``periodic_words`` walks each side graph's cycles once and harvests both
 sources of classes; its docstring gives the proofs and the costs.
+``is_pushy`` shares that walk and reads only its labels.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterator
 from enum import Enum
 
 from .morphism import D0LSystem, EngineInvariantError, Morphism, functional_cycles
@@ -60,43 +63,85 @@ def cycles(graph: dict[int, tuple[int, Word]]) -> list[tuple[int, ...]]:
     return functional_cycles(graph, lambda a: graph[a][0])
 
 
+def _side_cycles(system: D0LSystem) -> Iterator[tuple[Side, tuple[int, ...], tuple[Word, ...]]]:
+    """(side, cycle, labels) for each cycle of the left, then the right side
+    graph, in the order of ``cycles``; labels[i] labels the edge leaving
+    cycle[i].  Each side graph is built once and its cycles walked once.
+
+    A letter that the axiom never reaches can lie on a labelled cycle that
+    pumps nothing in the language, so the system must be reduced.
+    """
+    if not system.is_reduced():
+        raise ValueError("the side-graph stage expects a reduced system")
+    if system.morphism.classification.unbounded:
+        for side in (Side.LEFT, Side.RIGHT):
+            graph = build_side_graph(system, side)
+            for cycle in cycles(graph):
+                yield side, cycle, tuple(graph[a][1] for a in cycle)
+
+
 def is_pushy(system: D0LSystem) -> bool:
-    """True iff some side-graph cycle has an edge with a non-empty label."""
-    return bool(bounded_periodic_classes(system))
+    """True iff some side-graph cycle has an edge with a non-empty label.
+
+    On a reduced non-erasing system such a cycle pumps a bounded-letter class
+    (see ``periodic_words``), so the labels decide: no period word is built
+    and no Lando check runs.  Cost: the two side graphs and their cycles.
+    """
+    return any(any(labels) for _, _, labels in _side_cycles(system))
 
 
-def _cycle_period_word(phi: Morphism, side: Side, labels: tuple[Word, ...]) -> Word:
+def _cycle_period_word(phi: Morphism, side: Side, labels: tuple[Word, ...], where: dict[int, tuple[Word, int]]) -> Word:
     """Primitive period of the bounded-letter tail pumped by a cycle's first phase.
 
     labels[i] is the label of the cycle's edge i.  Writing u_{i+1} for
     labels[i], the word accumulated per cycle round is
     u = u_k phi(u_{k-1}) ... phi^{k-1}(u_1) on the right, mirrored on the
-    left; Horner's rule builds it with k applications of phi.  The orbit u,
-    phi(u), ... is finite, as u is over bounded letters, and one walk kept
-    in a list gives its tail s and period t.  The block sequence
-    phi^{jk}(u) is then eventually periodic; one full period of blocks,
-    starting after the tail, is the period word (blocks in descending
-    iterate order on the left).  Block j is read off the list at index jk,
-    folded into [s, s + t), so no iterate is expanded twice.
+    left; Horner's rule builds it with k applications of phi.  The block
+    sequence phi^{jk}(u) is eventually periodic, and one full period of
+    blocks, starting at block ceil(s/k) + 1 after the orbit's tail s, is the
+    period word (blocks in descending iterate order on the left).
+
+    The tail and period come from the letter cycles, not from a stored
+    orbit.  where maps each bounded letter on a cycle of the graph
+    a -> first(phi(a)) to (its cycle, its index there).  In a non-erasing
+    system a bounded letter in a cyclic component of the letter graph has a
+    one-letter image (two letters in the images of a cyclic component make
+    it unbounded), so those cycles are the cyclic components of the bounded
+    letters, and phi moves each letter on them one step along its cycle.
+    Every other bounded letter a is alone in an acyclic component, and phi(a)
+    holds only letters of components below it.  So each application moves
+    every letter off the cycles one level down this acyclic part: s, the
+    least n with every letter of phi^n(u) on a cycle, is at most the number
+    of acyclic bounded letters, below |A|.  From there phi^(s+m)(u) is
+    phi^s(u) with every letter moved m steps, so the period t is the lcm of
+    those letters' cycle lengths, and block j is phi^s(u) moved jk - s
+    steps.  Position p of the blocks walks its letter's cycle by k steps per
+    block; one round of the cycle, repeated, gives that column.  A tail that
+    reaches |A| applications means a broken invariant (a wrong letter
+    classification, or a ``where`` that misses a cycle) and raises
+    EngineInvariantError.
+
+    Cost: k applications of phi for u and s < |A| more, with no orbit or
+    set of words kept; one round of its letter's cycle per position of
+    phi^s(u) for the columns; and the period word itself, interleaved from
+    the columns.
     """
     k = len(labels)
     u: Word = ()
     for label in labels:
         u = label + phi(u) if side is Side.RIGHT else phi(u) + label
-
-    orbit: list[Word] = []
-    seen: dict[Word, int] = {}
-    while u not in seen:
-        seen[u] = len(orbit)
-        orbit.append(u)
-        u = phi(u)
-    s = seen[u]
-    t = len(orbit) - s
-    l0 = -(-s // k)
-    blocks = [orbit[s + (j * k - s) % t] for j in range(l0 + 1, l0 + 1 + math.lcm(t, k) // k)]
+    s = 0
+    while not where.keys() >= set(u):
+        if s == len(phi.images):
+            raise EngineInvariantError("a bounded-letter tail outlasted the alphabet")
+        u, s = phi(u), s + 1
+    t = math.lcm(*(len(where[a][0]) for a in u))
+    # block ceil(s/k) + 1 + j is phi^s(u) with each letter moved -s % k + (j + 1)k steps
+    columns = [[c[(i + -s % k + (j + 1) * k) % len(c)] for j in range(len(c))] for c, i in map(where.__getitem__, u)]
+    blocks = list(zip(*(itertools.islice(itertools.cycle(col), math.lcm(t, k) // k) for col in columns)))
     if side is Side.LEFT:
         blocks.reverse()
-    return primitive_root(tuple(c for b in blocks for c in b))
+    return primitive_root(tuple(itertools.chain.from_iterable(blocks)))
 
 
 def bounded_periodic_classes(system: D0LSystem) -> list[Word]:
@@ -155,29 +200,31 @@ def periodic_words(system: D0LSystem) -> tuple[list[Word], list[Word]]:
     On a non-injective system, where the check can reject a letter whose
     psi^omega is periodic, that may differ.
 
-    Cost per cycle: for a labelled one, k applications of phi for u and
-    s + t for the orbit; for a label-free left one, one Lando check, which
-    keeps the cyclic family a_i -> a_(i+1), a_(L-1) -> a_0 a_0 linear in L
-    where a check per letter would be quadratic; for either, one
-    application of phi plus one primitive root per further phase.
+    The system must be reduced (``_side_cycles``).  Cost per cycle: for a
+    labelled one, k applications of phi for u, fewer than |A| more for its
+    tail, and the period word itself (``_cycle_period_word``); the first
+    labelled cycle also finds the bounded letters' cycles, once per call, in
+    O(|A|).  For a label-free left one, one Lando check, which keeps the
+    cyclic family a_i -> a_(i+1), a_(L-1) -> a_0 a_0 linear in L where a
+    check per letter would be quadratic; for either, one application of phi
+    plus one primitive root per further phase.
     """
     phi = system.morphism
     bounded: list[Word] = []
     unbounded: list[Word] = []
-    if not phi.classification.unbounded:
-        return bounded, unbounded
-    for side in (Side.LEFT, Side.RIGHT):
-        graph = build_side_graph(system, side)
-        for cycle in cycles(graph):
-            labels = tuple(graph[a][1] for a in cycle)
-            if any(labels):
-                out, period = bounded, _cycle_period_word(phi, side, labels)
-            elif side is Side.LEFT and (v := lando_periodic_check(phi, len(cycle), cycle[0])):
-                out, period = unbounded, primitive_root(v)
-            else:
-                continue
+    where: dict[int, tuple[Word, int]] = {}
+    for side, cycle, labels in _side_cycles(system):
+        if any(labels):
+            if not where:
+                loops = functional_cycles(sorted(phi.classification.bounded), phi.first_letter)
+                where = {a: (c, i) for c in loops for i, a in enumerate(c)}
+            out, period = bounded, _cycle_period_word(phi, side, labels, where)
+        elif side is Side.LEFT and (v := lando_periodic_check(phi, len(cycle), cycle[0])):
+            out, period = unbounded, primitive_root(v)
+        else:
+            continue
+        out.append(period)
+        for _ in range(len(cycle) - 1):
+            period = primitive_root(phi(period))
             out.append(period)
-            for _ in range(len(cycle) - 1):
-                period = primitive_root(phi(period))
-                out.append(period)
     return bounded, sorted(unbounded)

@@ -20,7 +20,7 @@ import sys
 import time
 from collections import Counter
 
-from dolrep import analyze
+from dolrep import analyze, is_pushy
 from corpus_util import random_system
 from planted_util import planted, planted_classes
 from test_cli import _cap_address_space_at_one_gib, _src_env
@@ -54,10 +54,11 @@ def _planted(rng: random.Random):
 
 
 def _check(seed: int) -> dict:
-    """Analyse every planted system and compare its classes with the base's,
-    and run the metamorphic relations on each one with at least 200 letters;
-    returns the largest alphabet, the step kinds seen and the number of
-    relations checked on systems with a class."""
+    """Analyse every planted system, compare its classes with the base's
+    and ``is_pushy`` of its final system with the report, and run the
+    metamorphic relations on each one with at least 200 letters; returns
+    the largest alphabet, the step kinds seen and the number of relations
+    checked on systems with a class."""
     rng = random.Random(seed)
     kinds: Counter = Counter()
     largest = 0
@@ -67,6 +68,7 @@ def _check(seed: int) -> dict:
         report = analyze(system)
         found = {(cls.representative, cls.source.value) for cls in report.classes}
         assert found == planted_classes(base, k), (base, system)
+        assert is_pushy(report.chain.final_system) == report.pushy, system
         kinds.update(step.kind for step in report.chain.steps)
         largest = max(largest, len(system.alphabet))
         if len(system.alphabet) < 200:

@@ -1,5 +1,10 @@
+import json
 import math
+import os
 import random
+import resource
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -8,6 +13,7 @@ import pytest
 from dolrep import (
     Alphabet,
     D0LSystem,
+    EngineInvariantError,
     Morphism,
     Side,
     analyze,
@@ -18,10 +24,13 @@ from dolrep import (
     is_primitive,
     is_pushy,
     make_system,
+    periodic_words,
     primitive_root,
 )
 from dolrep import pushy
 from corpus_util import random_system
+from test_cli import _src_env
+from test_metamorphic import FAMILIES
 from word_util import factor_occurrences
 
 
@@ -81,6 +90,76 @@ def test_is_pushy_examples(system_g, system_h, thue_morse):
     assert is_pushy(system_g)
     assert is_pushy(system_h)
     assert not is_pushy(thue_morse)
+
+
+def test_side_graph_stage_refuses_an_unreduced_system():
+    # the labelled loop at b pumps c, but the axiom never reaches b or c
+    system = make_system({"a": "a", "b": "bc", "c": "c"}, "a")
+    for stage in (periodic_words, bounded_periodic_classes, is_pushy):
+        with pytest.raises(ValueError, match="reduced"):
+            stage(system)
+    report = analyze(system)
+    assert report.pushy is False and report.classes == ()
+
+
+def test_is_pushy_reads_the_labels_only(monkeypatch, system_g, system_h, thue_morse, doubling):
+    def no_word(*args):
+        raise AssertionError("is_pushy built a period word or ran a Lando check")
+
+    monkeypatch.setattr(pushy, "_cycle_period_word", no_word)
+    monkeypatch.setattr(pushy, "lando_periodic_check", no_word)
+    assert is_pushy(system_g) and is_pushy(system_h)
+    # doubling's label-free left loop is a class that Lando's check would accept
+    assert not is_pushy(thue_morse) and not is_pushy(doubling)
+
+
+def test_is_pushy_of_the_final_system_matches_the_report():
+    corpus = [random_system(random.Random(1000 + i)) for i in range(500)]
+    pushy_count = 0
+    for system in corpus + [system for system, _, _ in FAMILIES]:
+        report = analyze(system)
+        assert is_pushy(report.chain.final_system) == report.pushy, system
+        pushy_count += report.pushy
+    assert pushy_count >= 20, pushy_count
+
+
+_LANDAU_CHILD = """
+import json, time
+from dolrep import injective_simplification, is_pushy
+from test_metamorphic import _landau
+
+out = []
+for primes in ((2, 3, 5, 7, 11, 13, 17, 19, 23), tuple(p for p in range(2, 60) if all(p % d for d in range(2, p)))):
+    system = _landau(primes)
+    start = time.perf_counter()
+    pushy = is_pushy(injective_simplification(system).final_system)
+    out.append((len(system.alphabet), pushy, time.perf_counter() - start))
+print(json.dumps(out))
+"""
+
+
+def _cap_address_space_at_256_mib() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))
+
+
+def test_is_pushy_decides_large_landau_systems_without_their_class():
+    # The one class has r * lcm(primes) letters: 2 007 835 830 for the 101
+    # letters over the primes 2-23, about 3.3e22 for the 441 over those below
+    # 60.  Building it ran out of memory; the labels decide at once.
+    env = _src_env()
+    env["PYTHONPATH"] += os.pathsep + os.path.dirname(os.path.abspath(__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LANDAU_CHILD],
+        capture_output=True,
+        text=True,
+        env=env,
+        preexec_fn=_cap_address_space_at_256_mib,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    decided = json.loads(proc.stdout)
+    assert [(letters, pushy) for letters, pushy, _ in decided] == [(101, True), (441, True)]
+    assert all(elapsed < 0.1 for _, _, elapsed in decided), decided
 
 
 def test_bounded_classes_system_g(system_g):
@@ -228,8 +307,8 @@ def _reference_bounded_periodic_classes(system):
             labels = tuple(graph[a][1] for a in cycle)
             if any(b not in cls.mortal for label in labels for b in label):
                 long_cycles += len(cycle) >= 2
-                for _, phase_labels in _reference_rotations(cycle, labels):
-                    out.append(_reference_cycle_period_word(system, side, phase_labels))
+                for r, (_, phase_labels) in enumerate(_reference_rotations(cycle, labels)):
+                    out.append((r, _reference_cycle_period_word(system, side, phase_labels)))
     return out, long_cycles
 
 
@@ -243,16 +322,57 @@ def test_derived_phases_match_per_phase_reference():
         systems.append(system.reduced())
         if i % 20 == 0:
             systems.append(analyze(system).chain.final_system)
-    long_cycles = 0
+    long_cycles = first_phases = 0
     for system in systems:
         expected, found = _reference_bounded_periodic_classes(system)
         long_cycles += found
         periods = bounded_periodic_classes(system)
         assert len(periods) == len(expected), system
-        for period, ref_period in zip(periods, expected):
+        for period, (phase, ref_period) in zip(periods, expected):
             assert is_primitive(period), system
             assert canonical_rotation(period) == canonical_rotation(ref_period), system
+            if phase == 0:
+                # phase 0 is computed, not derived: the same word, letter for letter
+                assert period == ref_period, system
+                first_phases += 1
     assert long_cycles >= 500
+    assert first_phases >= 2900, first_phases
+
+
+def _late_tail(m, side):
+    """U -> V, V -> U b1 (right) or b1 U (left), b_i -> b_(i+1) for i < m,
+    b_m -> c0 d0, and the cycles c0 .. c39 and d0 .. d8: the tail of b1 is
+    m applications long, and its period lcm(40, 9) = 360."""
+    rules = {"U": ("V",), "V": ("U", "b1") if side is Side.RIGHT else ("b1", "U")}
+    rules.update({f"b{i}": (f"b{i + 1}",) for i in range(1, m)})
+    rules[f"b{m}"] = ("c0", "d0")
+    rules.update({f"c{i}": (f"c{(i + 1) % 40}",) for i in range(40)})
+    rules.update({f"d{i}": (f"d{(i + 1) % 9}",) for i in range(9)})
+    return make_system(rules, "U")
+
+
+@pytest.mark.parametrize("side", [Side.RIGHT, Side.LEFT])
+def test_late_growing_tail_into_long_cycles(side):
+    m = 50
+    system = _late_tail(m, side)
+    graph = build_side_graph(system, side)
+    [cycle] = [c for c in cycles(graph) if any(graph[a][1] for a in c)]
+    labels = tuple(graph[a][1] for a in cycle)
+    assert len(cycle) == 2 and labels == ((), system.alphabet.word(["b1"]))
+    assert _reference_orbit_tail_period(system, labels[1]) == (m, 360)
+    periods = bounded_periodic_classes(system)
+    assert periods[0] == _reference_cycle_period_word(system, side, labels)
+    expected, _ = _reference_bounded_periodic_classes(system)
+    assert [canonical_rotation(p) for p in periods] == [canonical_rotation(w) for _, w in expected]
+    # lcm(360, 2) / 2 blocks of 2 letters
+    assert len(periods[0]) == 360
+
+
+def test_a_tail_longer_than_the_alphabet_is_an_invariant_error(system_g):
+    # with no letter cycles given, the tail of the label 12 never ends
+    labels = (system_g.alphabet.word("12"),)
+    with pytest.raises(EngineInvariantError, match="tail"):
+        pushy._cycle_period_word(system_g.morphism, Side.RIGHT, labels, {})
 
 
 def _family_c(size, side):
@@ -284,9 +404,9 @@ def test_one_period_computation_per_cycle(monkeypatch, side):
     calls = []
     original = pushy._cycle_period_word
 
-    def counting(phi, cycle_side, labels):
+    def counting(phi, cycle_side, labels, *rest):
         calls.append((cycle_side, labels))
-        return original(phi, cycle_side, labels)
+        return original(phi, cycle_side, labels, *rest)
 
     monkeypatch.setattr(pushy, "_cycle_period_word", counting)
     size = 50
