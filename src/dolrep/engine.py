@@ -25,8 +25,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .morphism import D0LSystem, EngineInvariantError, LetterClassification
-from .pushy import periodic_words
+from .pushy import Side, _side_cycles, periodic_words
 from .simplify import SimplificationChain, injective_simplification
+from .unbounded import lando_periodic_check
 from .words import Word, canonical_rotation, conjugates, primitive_root
 
 
@@ -99,8 +100,24 @@ def analyze(system: D0LSystem) -> AnalysisReport:
 
 
 def is_repetitive(system: D0LSystem) -> bool:
-    """True iff some word has all its powers among the language's factors."""
-    return bool(analyze(system).classes)
+    """True iff some word has all its powers among the language's factors.
+
+    Decided on the final system's side-graph cycles without building a
+    class: ``analyze`` has a class exactly when ``periodic_words`` finds a
+    period, because ``map_back`` of a non-empty word is not empty.  A cycle
+    with a non-empty label pumps a bounded period, so the labels are read
+    first; only when none has one does Lando's check run on the label-free
+    left cycles, stopping at the first it accepts, since the check can build
+    exponentially long words.  The side graphs are walked once.
+    """
+    reduced = system.reduced()
+    if not reduced.morphism.classification.unbounded:
+        return False
+    final = injective_simplification(reduced).final_system
+    found = list(_side_cycles(final))
+    return any(any(labels) for _, _, labels in found) or any(
+        side is Side.LEFT and lando_periodic_check(final.morphism, len(cycle), cycle[0]) for side, cycle, _ in found
+    )
 
 
 @dataclass(frozen=True)

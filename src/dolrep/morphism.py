@@ -215,7 +215,7 @@ def make_system(rules: Mapping[str, Iterable[str] | str], axiom: Iterable[str] |
 
 @dataclass(frozen=True)
 class LetterClassification:
-    """The letters of an alphabet by orbit, all from one ``classify_letters`` pass.
+    """The letters of an alphabet by orbit, as ``classify_letters`` finds them.
 
     mortal: killed by some iterate (phi^k(a) = eps); always a subset of bounded.
     bounded: the orbit {phi^k(a)} is a finite set of words.
@@ -230,79 +230,65 @@ class LetterClassification:
 def classify_letters(phi: Morphism) -> LetterClassification:
     """Structural mortal/bounded/unbounded classification.
 
-    On the letter digraph (edge a -> b iff b occurs in phi(a)), a letter is
-    mortal iff it lies on no cycle and all its successors are mortal.  An
-    immortal letter is unbounded iff it reaches a cycle from which a letter
-    with >= 2 immortal letters in its image (with multiplicity) is reachable.
+    On the letter digraph (edge a -> b for each occurrence of b in phi(a)),
+    a letter is mortal iff it lies on no cycle and all its successors are
+    mortal.  An immortal letter is unbounded iff it reaches a cycle from
+    which a branching letter, one with >= 2 immortal letters in its image
+    (with multiplicity), is reachable.
 
-    One iterative Tarjan pass, with plain lists indexed by letter, closes
-    the strongly connected components sinks first.  When a component
-    closes, each member counts its immortal successors: those inside it
-    (then it is cyclic) and those in immortal closed components.  It is
-    mortal when every count is 0, and unbounded when it points to an
-    unbounded component or is cyclic with a count >= 2: in a cyclic
-    component without one, no edge leaves for an immortal letter, so
-    reaching a branching letter needs no flag.  O(|A| + sum |phi(a)|).
+    Three peels of the reverse edges, users[b] listing a once per
+    occurrence of b in phi(a), each a worklist that enters a letter once:
+
+    1. Mortal: from the letters with empty images, a user whose count of
+       immortal image letters, live[a], falls to 0 is mortal.  Afterwards
+       live[a] counts the immortal letters of phi(a).
+    2. R: the letters that reach a branching letter (live >= 2), in 0 or
+       more steps, are the branching letters closed under users.
+    3. Unbounded: from R, peel every letter whose image holds no occurrence
+       of a letter still in R; the survivors are the unbounded letters.
+
+    Proof of 3.  A survivor has a surviving successor, so it reaches a
+    cycle of survivors, which lies in R and so reaches a branching letter.
+    Conversely, let a reach a cyclic c that reaches a branching d.  Every
+    letter on the path from a and on the cycle reaches d, so all of them
+    lie in R.  A letter is peeled only after every R letter in its image,
+    and each of these letters has in its image the next one along the path
+    or the cycle, so none of them can be the first of them peeled: the
+    cycle and the path survive.
+
+    Each peel is O(|A| + sum |phi(a)|).
     """
     if not phi.is_endomorphism():
         raise ValueError("letter classification is defined for endomorphisms only")
     images = phi.images
     n = len(images)
-    index = [-1] * n
-    low = [0] * n
-    comp = [-1] * n  # component of a closed letter; -1 while unvisited or on the stack
-    mortal_comp: list[bool] = []  # per component, in closing order
-    unbounded_comp: list[bool] = []
-    stack: list[int] = []
-    count = 0
-    for root in range(n):
-        if index[root] >= 0:
-            continue
-        index[root] = low[root] = count
-        count += 1
-        stack.append(root)
-        work = [(root, iter(images[root]))]
-        while work:
-            a, edges = work[-1]
-            for b in edges:
-                if index[b] < 0:
-                    index[b] = low[b] = count
-                    count += 1
-                    stack.append(b)
-                    work.append((b, iter(images[b])))
-                    break
-                if comp[b] < 0 and index[b] < low[a]:
-                    low[a] = index[b]
-            else:
-                work.pop()
-                if work and low[a] < low[work[-1][0]]:
-                    low[work[-1][0]] = low[a]
-                if low[a] == index[a]:
-                    c = len(mortal_comp)
-                    members = []
-                    b = -1
-                    while b != a:
-                        b = stack.pop()
-                        comp[b] = c
-                        members.append(b)
-                    cyclic = grows = False
-                    most = 0  # most immortal successors of a member, with multiplicity
-                    for b in members:
-                        live = 0
-                        for d in images[b]:
-                            if comp[d] == c:
-                                cyclic = True
-                                live += 1
-                            elif not mortal_comp[comp[d]]:
-                                live += 1
-                                grows = grows or unbounded_comp[comp[d]]
-                        most = max(most, live)
-                    mortal_comp.append(not most)
-                    unbounded_comp.append(grows or (cyclic and most >= 2))
-    mortal = frozenset(a for a in range(n) if mortal_comp[comp[a]])
-    unbounded = frozenset(a for a in range(n) if unbounded_comp[comp[a]])
-    bounded = frozenset(a for a in range(n) if a not in unbounded)
-    return LetterClassification(mortal=mortal, bounded=bounded, unbounded=unbounded)
+    users: list[list[int]] = [[] for _ in range(n)]
+    for a, img in enumerate(images):
+        for b in img:
+            users[b].append(a)
+    live = [len(img) for img in images]
+    mortal = [a for a in range(n) if not live[a]]
+    for b in mortal:  # each list grows while it is walked
+        for a in users[b]:
+            live[a] -= 1
+            if not live[a]:
+                mortal.append(a)
+    in_r = [count >= 2 for count in live]
+    reach = [a for a in range(n) if in_r[a]]
+    for b in reach:
+        for a in users[b]:
+            if not in_r[a]:
+                in_r[a] = True
+                reach.append(a)
+    held = [sum(in_r[b] for b in img) for img in images]
+    peeled = [a for a in reach if not held[a]]
+    for b in peeled:
+        for a in users[b]:
+            held[a] -= 1
+            if not held[a]:
+                peeled.append(a)
+    unbounded = frozenset(reach).difference(peeled)
+    return LetterClassification(frozenset(mortal), frozenset(range(n)) - unbounded, unbounded)
 
 
 def functional_cycles(vertices: Iterable[int], target: Callable[[int], int]) -> list[tuple[int, ...]]:

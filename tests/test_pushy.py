@@ -23,11 +23,12 @@ from dolrep import (
     cycles,
     is_primitive,
     is_pushy,
+    is_repetitive,
     make_system,
     periodic_words,
     primitive_root,
 )
-from dolrep import pushy
+from dolrep import engine, pushy
 from corpus_util import random_system
 from test_cli import _src_env
 from test_metamorphic import FAMILIES
@@ -104,13 +105,18 @@ def test_side_graph_stage_refuses_an_unreduced_system():
 
 def test_is_pushy_reads_the_labels_only(monkeypatch, system_g, system_h, thue_morse, doubling):
     def no_word(*args):
-        raise AssertionError("is_pushy built a period word or ran a Lando check")
+        raise AssertionError("a period word was built or a Lando check ran")
 
     monkeypatch.setattr(pushy, "_cycle_period_word", no_word)
     monkeypatch.setattr(pushy, "lando_periodic_check", no_word)
     assert is_pushy(system_g) and is_pushy(system_h)
     # doubling's label-free left loop is a class that Lando's check would accept
     assert not is_pushy(thue_morse) and not is_pushy(doubling)
+    assert is_repetitive(doubling) and not is_repetitive(thue_morse)
+    # is_repetitive reads every label before it runs a Lando check: system_h's
+    # label-free left loop at 0 comes before its labelled one at 3
+    monkeypatch.setattr(engine, "lando_periodic_check", no_word)
+    assert is_repetitive(system_g) and is_repetitive(system_h)
 
 
 def test_is_pushy_of_the_final_system_matches_the_report():
@@ -119,21 +125,23 @@ def test_is_pushy_of_the_final_system_matches_the_report():
     for system in corpus + [system for system, _, _ in FAMILIES]:
         report = analyze(system)
         assert is_pushy(report.chain.final_system) == report.pushy, system
+        assert is_repetitive(system) == bool(report.classes), system
         pushy_count += report.pushy
     assert pushy_count >= 20, pushy_count
 
 
 _LANDAU_CHILD = """
 import json, time
-from dolrep import injective_simplification, is_pushy
+from dolrep import injective_simplification, is_pushy, is_repetitive
 from test_metamorphic import _landau
 
 out = []
 for primes in ((2, 3, 5, 7, 11, 13, 17, 19, 23), tuple(p for p in range(2, 60) if all(p % d for d in range(2, p)))):
     system = _landau(primes)
-    start = time.perf_counter()
-    pushy = is_pushy(injective_simplification(system).final_system)
-    out.append((len(system.alphabet), pushy, time.perf_counter() - start))
+    for decide in (lambda s: is_pushy(injective_simplification(s).final_system), is_repetitive):
+        start = time.perf_counter()
+        verdict = decide(system)
+        out.append((len(system.alphabet), verdict, time.perf_counter() - start))
 print(json.dumps(out))
 """
 
@@ -145,7 +153,8 @@ def _cap_address_space_at_256_mib() -> None:
 def test_is_pushy_decides_large_landau_systems_without_their_class():
     # The one class has r * lcm(primes) letters: 2 007 835 830 for the 101
     # letters over the primes 2-23, about 3.3e22 for the 441 over those below
-    # 60.  Building it ran out of memory; the labels decide at once.
+    # 60.  Building it ran out of memory; the labels decide at once, for
+    # is_pushy of the final system and for is_repetitive of the raw one.
     env = _src_env()
     env["PYTHONPATH"] += os.pathsep + os.path.dirname(os.path.abspath(__file__))
     proc = subprocess.run(
@@ -158,7 +167,7 @@ def test_is_pushy_decides_large_landau_systems_without_their_class():
     )
     assert proc.returncode == 0, proc.stderr
     decided = json.loads(proc.stdout)
-    assert [(letters, pushy) for letters, pushy, _ in decided] == [(101, True), (441, True)]
+    assert [(letters, verdict) for letters, verdict, _ in decided] == [(101, True)] * 2 + [(441, True)] * 2
     assert all(elapsed < 0.1 for _, _, elapsed in decided), decided
 
 

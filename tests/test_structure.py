@@ -158,23 +158,32 @@ CHAIN = 20_000
 
 
 @pytest.mark.parametrize(
-    "last_image, mortal, unbounded",
-    [((), True, False), ((CHAIN - 1,), False, False), ((CHAIN - 1, CHAIN - 1), False, True)],
-    ids=["erased", "fixed", "doubled"],
+    "tail, mortal, unbounded",
+    [
+        (((),), True, False),
+        (((CHAIN - 1,),), False, False),
+        (((CHAIN - 1, CHAIN - 1),), False, True),
+        (((CHAIN, CHAIN), (CHAIN,)), False, False),
+    ],
+    ids=["erased", "fixed", "doubled", "branching-into-a-fixed-letter"],
 )
-def test_classification_of_a_long_chain(last_image, mortal, unbounded):
-    """a_i -> a_(i+1) over 20 000 letters, then a_last -> last_image.
+def test_classification_of_a_long_chain(tail, mortal, unbounded):
+    """a_i -> a_(i+1) over 20 000 letters, then the images in tail from a_last on.
 
     The whole chain is mortal, bounded and immortal, or unbounded with its
-    last letter.  The depth-first walk is as deep as the chain, so this
-    guards against recursion and against quadratic work.
+    last letter.  In the last case a_last -> z z and z -> z, for z the letter
+    after the chain: every chain letter reaches the branching a_last, yet
+    all 20 001 letters are bounded and none is mortal, so the third peel
+    removes the whole chain.  Each peel's worklist runs the length of the
+    chain, so this guards against recursion and against quadratic work.
     """
-    alphabet = Alphabet(tuple(f"a{i}" for i in range(CHAIN)))
-    phi = Morphism(alphabet, alphabet, tuple((i + 1,) for i in range(CHAIN - 1)) + (last_image,))
+    images = tuple((i + 1,) for i in range(CHAIN - 1)) + tail
+    alphabet = Alphabet(tuple(f"a{i}" for i in range(len(images))))
+    phi = Morphism(alphabet, alphabet, images)
     start = time.perf_counter()
     cls = classify_letters(phi)
     elapsed = time.perf_counter() - start
-    letters = frozenset(range(CHAIN))
+    letters = frozenset(range(len(images)))
     assert cls.mortal == (letters if mortal else frozenset())
     assert cls.unbounded == (letters if unbounded else frozenset())
     assert cls.bounded == letters - cls.unbounded

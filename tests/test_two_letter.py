@@ -8,9 +8,10 @@ Two spaces are checked, each by the same test:
   2 197 morphisms, each run from the axioms a and abc: 4 394 systems.
 
 On each system, the engine's classes must agree with the escalating
-brute-force oracle (`corpus_util.oracle_agreement`), and they must match the
-digest stored for that system in the space's golden file, one line
-`<space>-<i> <sha256>` per system, the sha256 of
+brute-force oracle (`corpus_util.oracle_agreement`); `is_repetitive` and
+`is_pushy` of the final system must agree with the report; and the classes
+must match the digest stored for that system in the space's golden file,
+one line `<space>-<i> <sha256>` per system, the sha256 of
 `repr(sorted((representative, source) ...))` over the engine's classes.  A
 digest cannot go stale the way the oracle can.  When a class is meant to
 change, print a space's new digests with `PYTHONPATH=src:tests python
@@ -26,7 +27,7 @@ from pathlib import Path
 
 import pytest
 
-from dolrep import Alphabet, D0LSystem, Morphism, analyze
+from dolrep import Alphabet, D0LSystem, Morphism, analyze, is_pushy, is_repetitive
 from corpus_util import oracle_agreement
 
 
@@ -80,6 +81,8 @@ def test_space_agrees_with_the_oracle_and_the_golden_digests(space):
         report = analyze(system)
         agrees, observed, params = oracle_agreement(system, {cls.representative for cls in report.classes})
         assert agrees, (system, observed, params)
+        assert is_repetitive(system) == bool(report.classes), system
+        assert is_pushy(report.chain.final_system) == report.pushy, system
         if _digest(report) != expected[f"{space.name}-{i}"]:
             changed.append(i)
         repetitive += report.repetitive
