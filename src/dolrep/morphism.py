@@ -27,7 +27,9 @@ class Alphabet:
     """Ordered list of distinct letter symbols; letters are ids into it.
 
     ``Alphabet("abc")`` and ``Alphabet(["lo", "hi"])`` both work: a plain
-    string contributes its characters as symbols.
+    string contributes its characters as symbols.  At most 0x10FFFF =
+    1 114 111 symbols are allowed, so that every letter id, and the id
+    |A| that the oracle uses as a sentinel, is a ``chr`` code point.
     """
 
     symbols: tuple[str, ...]
@@ -37,6 +39,8 @@ class Alphabet:
         object.__setattr__(self, "symbols", tuple(self.symbols))
         if not self.symbols:
             raise ValueError("alphabet must be non-empty")
+        if len(self.symbols) > 0x10FFFF:
+            raise ValueError(f"alphabet has {len(self.symbols)} symbols; at most 1114111 (0x10FFFF) are allowed")
         for s in self.symbols:
             if not s or any(c.isspace() for c in s):
                 raise ValueError(f"bad symbol {s!r}: must be non-empty without whitespace")
@@ -324,11 +328,11 @@ class CodewordIndex:
     strings of one character per letter, so they slice, compare and hash
     in C.  The live words are also kept in a dict to their indices and by
     first letter: per letter, the sorted list of the live words that start
-    with it and the sorted list of their distinct lengths, with a count
-    for each letter and length.  Every proper prefix and extension of a
-    word s starts with s's first letter, so queries look in that letter's
-    lists only.  Deleting a word drops it from these; a later insertion of
-    the same word gets a new index.
+    with it and the sorted list of their distinct lengths.  Every proper
+    prefix and extension of a word s starts with s's first letter, so
+    queries look in that letter's lists only.  Deleting a word drops it
+    from these, and drops its length when no word left in the letter's
+    list has it; a later insertion of the same word gets a new index.
 
     The codewords that extend s, s included, are the run of its letter's
     list that starts where s would go, so one bisection finds them.  The
@@ -346,7 +350,8 @@ class CodewordIndex:
     initial overhangs of ``relations``, are kept in a set: an insertion or
     deletion adds or drops the pairs of the word, found by that query, so
     a search does not rescan every codeword.  An edit costs the query, one
-    bisection and the shift of a list.  ``relations`` is the
+    bisection and the shift of a list; a deletion also scans its letter's
+    list for the length.  ``relations`` is the
     Sardinas-Patterson search on the index, ``factorization`` the product
     test.
     """
@@ -356,7 +361,6 @@ class CodewordIndex:
         self.texts: list[str] = []  # the same words as strings
         self._index: dict[str, int] = {}  # each live text to its index
         self._keys: dict[str, list[str]] = {}  # per first letter, the live texts, sorted
-        self._counts: dict[tuple[str, int], int] = {}  # live texts per first letter and length
         self._lengths: dict[str, list[int]] = {}  # per first letter, the distinct live lengths, sorted
         self._pairs: set[tuple[int, int]] = set()  # (i, j) with texts[i] a proper prefix of texts[j]
         for y in codewords:
@@ -372,10 +376,8 @@ class CodewordIndex:
             self._pairs.add((k, j) if len(self.texts[k]) < n else (j, k))
         self._index[y] = j
         insort(self._keys.setdefault(c, []), y)
-        count = self._counts.get((c, n), 0)
-        self._counts[c, n] = count + 1
-        if not count:
-            insort(self._lengths.setdefault(c, []), n)
+        if n not in (lengths := self._lengths.setdefault(c, [])):
+            insort(lengths, n)
         return j
 
     def delete(self, j: int) -> None:
@@ -385,10 +387,8 @@ class CodewordIndex:
         del self._index[y]
         keys = self._keys[c]
         del keys[bisect_left(keys, y)]
-        self._counts[c, n] -= 1
-        if not self._counts[c, n]:
-            lengths = self._lengths[c]
-            del lengths[bisect_left(lengths, n)]
+        if n not in map(len, keys):
+            self._lengths[c].remove(n)
         for k in self._matches(y):
             self._pairs.discard((k, j) if len(self.texts[k]) < n else (j, k))
 

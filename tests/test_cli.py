@@ -1,8 +1,6 @@
 import io
 import json
-import os
 import random
-import resource
 import signal
 import subprocess
 import sys
@@ -14,7 +12,13 @@ import dolrep
 from dolrep import analyze, cli
 from dolrep.cli import ParseError, parse_system, report_to_dict, run, serialize_system
 from corpus_util import random_system
-from test_metamorphic import _family_e, _family_e_prime
+from shared_util import (
+    _address_space_limit,
+    _cap_address_space_at_one_gib,
+    _family_e,
+    _family_e_prime,
+    _src_env,
+)
 
 G_FILE = """\
 # Example system
@@ -185,6 +189,18 @@ def test_run_parse_error_exit_code(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_alphabet_past_the_code_point_limit_is_a_parse_error(tmp_path):
+    # Letters are code points in CodewordIndex and the oracle, so an
+    # alphabet of more than 0x10FFFF symbols cannot be analysed.
+    symbols = " ".join(f"a{i}" for i in range(0x10FFFF + 1))
+    proc = _main_after("", _write(tmp_path, "wide.dol", f"alphabet: {symbols}\n"))
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: line 1: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert "1114111" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_run_missing_file(capsys):
     rc = run(["analyze", "/nonexistent/path.dol"])
     assert rc == 1
@@ -286,13 +302,6 @@ def test_removed_oracle_flag_is_usage_error(tmp_path, capsys, flag, value):
         run(["analyze", _write(tmp_path, "g.dol", G_FILE), "--verify", flag, value])
     assert exc.value.code == 2
     assert "usage: dolrep" in capsys.readouterr().err
-
-
-def _src_env() -> dict[str, str]:
-    """The environment with this checkout's sources first on PYTHONPATH."""
-    src = os.path.dirname(os.path.dirname(dolrep.__file__))
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    return dict(os.environ, PYTHONPATH=path)
 
 
 @pytest.mark.parametrize("module", ["dolrep", "dolrep.cli"])
@@ -448,11 +457,6 @@ def _main_after(prelude: str, *args: str) -> subprocess.CompletedProcess:
     )
 
 
-def _address_space_limit(megabytes: int) -> str:
-    """A prelude that caps the child's own address space."""
-    return f"import resource; resource.setrlimit(resource.RLIMIT_AS, ({megabytes} << 20, {megabytes} << 20))"
-
-
 def test_verify_without_numpy_exits_4(tmp_path):
     proc = _main_after("import sys; sys.modules['numpy'] = None", _write(tmp_path, "g.dol", G_FILE), "--verify")
     assert proc.returncode == 4, proc.stderr
@@ -474,10 +478,6 @@ def test_out_of_memory_exits_5(tmp_path):
     proc = _main_after(_address_space_limit(200), _write(tmp_path, "b20.dol", _family_b_file(20)))
     assert proc.returncode == 5, proc.stderr
     assert proc.stderr == "error: out of memory\n"
-
-
-def _cap_address_space_at_one_gib() -> None:
-    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
 @pytest.mark.parametrize("family", [_family_e, _family_e_prime])

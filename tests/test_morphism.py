@@ -32,6 +32,14 @@ def test_apply_identity():
     assert ident(alph.word("cab")) == alph.word("cab")
 
 
+def test_alphabet_size_limit():
+    # Every letter id and the oracle's sentinel id |A| must be a code point.
+    symbols = tuple(map(str, range(0x10FFFF + 1)))
+    assert len(Alphabet(symbols[:-1])) == 0x10FFFF
+    with pytest.raises(ValueError, match="at most 1114111"):
+        Alphabet(symbols)
+
+
 def test_apply_rejects_foreign_letters(system_g):
     with pytest.raises(ValueError):
         system_g.morphism.apply((7,))
@@ -297,12 +305,15 @@ def test_codeword_index_edits_against_rebuilt_sets():
                 j = rng.choice(sorted(live))
                 index.delete(j)
                 del live[j]
-                continue
-            longest = rng.choice((5, 5, 12))
-            word = tuple(rng.randrange(letters) for _ in range(rng.randint(1, longest)))
-            if word not in live.values():
-                reinserted += word in index.words
-                live[index.insert(word)] = word
+            else:
+                longest = rng.choice((5, 5, 12))
+                word = tuple(rng.randrange(letters) for _ in range(rng.randint(1, longest)))
+                if word not in live.values():
+                    reinserted += word in index.words
+                    live[index.insert(word)] = word
+            # No stale length: a length stays only while a live word has it.
+            for a in range(letters):
+                assert index._lengths.get(chr(a), []) == sorted({len(w) for w in live.values() if w[0] == a})
         assert [j for j in range(len(index.words)) if index.is_live(j)] == sorted(live)
         pieces = list(live.values())
         for _ in range(5):

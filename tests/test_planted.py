@@ -1,11 +1,11 @@
 """Planted systems (``planted_util``): hundreds of letters, every step kind, known classes.
 
 The bases are corpus systems, random 5-12-letter systems and the named
-families of ``test_metamorphic``.  Each is inflated one to three times, with
+families of ``shared_util``.  Each is inflated one to three times, with
 up to 12 letters per split, and family E' at m = 40 is planted three times,
 each by one inflation with at most 3 letters per split.  Every planted
 system of at least 200 letters also goes through three metamorphic
-relations of ``test_metamorphic``: renaming and reordering, advancing the
+relations of ``shared_util``: renaming and reordering, advancing the
 axiom, and reversal.  The check runs in a child process capped at 1 GiB
 of address space: an inflated family E has hundreds of erasing letters, so
 code that deletes one per step and maps whole words back doubles its period
@@ -23,15 +23,16 @@ from collections import Counter
 from dolrep import analyze, is_pushy, is_repetitive
 from corpus_util import random_system
 from planted_util import planted, planted_classes
-from test_cli import _cap_address_space_at_one_gib, _src_env
-from test_metamorphic import (
+from shared_util import (
     FAMILIES,
     _advanced,
+    _cap_address_space_at_one_gib,
     _classes,
     _family_e_prime,
     _mapped,
     _mirrored,
     _renamed,
+    _src_env,
 )
 
 

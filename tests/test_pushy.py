@@ -2,7 +2,6 @@ import json
 import math
 import os
 import random
-import resource
 import subprocess
 import sys
 import time
@@ -30,8 +29,7 @@ from dolrep import (
 )
 from dolrep import engine, pushy
 from corpus_util import random_system
-from test_cli import _src_env
-from test_metamorphic import FAMILIES
+from shared_util import FAMILIES, _cap_address_space_at_256_mib, _src_env
 from word_util import factor_occurrences
 
 
@@ -133,7 +131,7 @@ def test_is_pushy_of_the_final_system_matches_the_report():
 _LANDAU_CHILD = """
 import json, time
 from dolrep import injective_simplification, is_pushy, is_repetitive
-from test_metamorphic import _landau
+from shared_util import _landau
 
 out = []
 for primes in ((2, 3, 5, 7, 11, 13, 17, 19, 23), tuple(p for p in range(2, 60) if all(p % d for d in range(2, p)))):
@@ -144,10 +142,6 @@ for primes in ((2, 3, 5, 7, 11, 13, 17, 19, 23), tuple(p for p in range(2, 60) i
         out.append((len(system.alphabet), verdict, time.perf_counter() - start))
 print(json.dumps(out))
 """
-
-
-def _cap_address_space_at_256_mib() -> None:
-    resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))
 
 
 def test_is_pushy_decides_large_landau_systems_without_their_class():
