@@ -454,10 +454,12 @@ class CodewordIndex:
         for two codeword sequences that start with different codewords.  An
         initial state is an overhang y = x s, x a proper prefix of the
         codeword y, with ahead = [y] and behind = [x]; a state whose s is a
-        codeword completes a relation.  A suffix already met is not met
-        again.  The codewords that are proper prefixes or extensions of s
-        are taken in increasing index, as a scan of every codeword would
-        meet them.
+        codeword completes a relation.  A state is extended by each codeword
+        y that is a proper prefix or extension of s, in increasing index, as
+        a scan of every codeword would meet them: y goes on behind, and the
+        new suffix is t = y[|s|:] when y is longer than s, with ahead and
+        behind swapped, or t = s[|y|:] otherwise.  A suffix already met is
+        not met again.
 
         A state holds its suffix, its parent state and the codeword that
         extended the parent, so its size does not grow with its depth;
@@ -465,11 +467,12 @@ class CodewordIndex:
         pointers.  There is at most one state per distinct suffix of a
         codeword.
 
-        Yields each completed relation as (state, index of the codeword
-        equal to its suffix), in breadth-first order, and stops at the end
-        of the first level that completes one; the states left in that
-        level are only tested for completion.  The set must not change
-        while the search runs.
+        Each level is tested for completion before any of its states is
+        extended.  The first level with completed states is the last: the
+        search yields each of them as (state, index of the codeword equal
+        to its suffix), in level order, and stops without extending any
+        state of that level.  The set must not change while the search
+        runs.
         """
         texts, index = self.texts, self._index
         seen: set[str] = set()
@@ -481,29 +484,21 @@ class CodewordIndex:
             if s not in seen:
                 seen.add(s)
                 level.append((s, None, j, i))
-        found = False
-        while level and not found:
+        while level:
+            completed = [(state, index[state[0]]) for state in level if state[0] in index]
+            if completed:
+                yield from completed
+                return
             deeper: list[tuple] = []
             for state in level:
                 s = state[0]
-                if s in index:
-                    found = True
-                    yield state, index[s]
-                    continue
-                if found:
-                    continue
                 for j in sorted(self._matches(s)):
                     y = texts[j]
-                    if len(y) > len(s):
-                        t = y[len(s) :]
-                        if t not in seen:
-                            seen.add(t)
-                            deeper.append((t, state, j, True))
-                    else:
-                        t = s[len(y) :]
-                        if t not in seen:
-                            seen.add(t)
-                            deeper.append((t, state, j, False))
+                    swap = len(y) > len(s)
+                    t = y[len(s) :] if swap else s[len(y) :]
+                    if t not in seen:
+                        seen.add(t)
+                        deeper.append((t, state, j, swap))
             level = deeper
 
 
@@ -579,11 +574,7 @@ def injectivity_witness(phi: Morphism) -> tuple[Word, Word] | None:
         if img in by_image:
             return ((by_image[img],), (a,))
         by_image[img] = a
-    witness = code_witness([phi.image(a) for a in letters])
-    if witness is None:
-        return None
-    u_idx, v_idx = witness
-    return tuple(u_idx), tuple(v_idx)
+    return code_witness([phi.image(a) for a in letters])
 
 
 def is_injective(phi: Morphism) -> bool:

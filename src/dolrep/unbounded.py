@@ -111,6 +111,8 @@ def lando_periodic_check(phi: Morphism, exponent: int, letter: int) -> Word | No
         raise ValueError("pure-periodicity check requires a non-erasing morphism")
     if exponent < 1:
         raise ValueError("exponent must be positive")
+    if not 0 <= letter < len(phi.source):
+        raise ValueError(f"letter id {letter} outside the alphabet")
     b = letter
     for _ in range(exponent):
         b = phi.first_letter(b)

@@ -15,6 +15,7 @@ from dolrep import (
     make_system,
 )
 from dolrep.morphism import CodewordIndex, _witness, code_witness, relation_heads
+from dolrep.words import _word_str
 from corpus_util import brute_injectivity_witness, random_system, simulated_bounded
 
 
@@ -239,6 +240,34 @@ def _all_pairs_code_witness(words):
     return None
 
 
+def _all_pairs_level_witnesses(words):
+    """Every relation of the first completing level of the all-pairs search:
+    each level is tested for completion whole, and only then extended, its
+    states in order and the codewords of each in index order."""
+    seen = set()
+    level = []
+    for i, x in enumerate(words):
+        for j, y in enumerate(words):
+            if len(x) < len(y) and y[: len(x)] == x and y[len(x) :] not in seen:
+                seen.add(y[len(x) :])
+                level.append((y[len(x) :], [j], [i]))
+    while level:
+        done = [(tuple(ahead), tuple(behind + [words.index(s)])) for s, ahead, behind in level if s in words]
+        if done:
+            return done
+        deeper = []
+        for s, ahead, behind in level:
+            for j, y in enumerate(words):
+                if len(y) > len(s) and y[: len(s)] == s and y[len(s) :] not in seen:
+                    seen.add(y[len(s) :])
+                    deeper.append((y[len(s) :], behind + [j], ahead))
+                elif len(s) > len(y) and s[: len(y)] == y and s[len(y) :] not in seen:
+                    seen.add(s[len(y) :])
+                    deeper.append((s[len(y) :], ahead, behind + [j]))
+        level = deeper
+    return []
+
+
 def _concat(words):
     return tuple(chain.from_iterable(words))
 
@@ -267,15 +296,24 @@ def test_code_witness_against_all_pairs_search():
     assert long_non_codes >= 50, long_non_codes
 
 
-def test_relations_stop_at_first_completing_level():
+def test_relations_stop_at_first_completing_level(monkeypatch):
     # Example 1's relation aca.badc = acab.adc completes at the second level;
     # e.f = ef completes at the first, so the search ends before the second.
+    # No state of the completing level is extended: the first search makes
+    # no query, not even for the state b that comes before f, and the second
+    # queries b only, not the completing adc.
     alphabet = Alphabet("abcdef")
     words = [alphabet.word(w) for w in ("aca", "adc", "acab", "badc", "e", "ef", "f")]
     index = CodewordIndex(words)
+    queries = []
+    matches = CodewordIndex._matches
+    monkeypatch.setattr(CodewordIndex, "_matches", lambda self, s: queries.append(s) or matches(self, s))
     assert [relation_heads(r) for r in index.relations()] == [(4, 5)]
+    assert queries == []
     index.delete(5)
+    queries.clear()
     assert [relation_heads(r) for r in index.relations()] == [(0, 2)]
+    assert queries == [_word_str(alphabet.word("b"))]
 
 
 def _products(word, pieces):
@@ -292,10 +330,11 @@ def _products(word, pieces):
 
 def test_codeword_index_edits_against_rebuilt_sets():
     # Random insertions and deletions, then every query of the edited index
-    # against the live set: membership, products, and the first relation,
-    # which must be the all-pairs search's on the live words in index order.
+    # against the live set: membership, products, and every relation of the
+    # first completing level, which must be the all-pairs search's on the
+    # live words in index order.
     rng = random.Random(6161)
-    relations = reinserted = 0
+    relations = several = reinserted = 0
     for _ in range(400):
         letters = rng.randint(1, 3)
         index = CodewordIndex([])
@@ -325,12 +364,9 @@ def test_codeword_index_edits_against_rebuilt_sets():
             else:
                 assert [live[j] for j in found] in products
         order = sorted(live)
-        relation = next(index.relations(), None)
-        expected = _all_pairs_code_witness([live[j] for j in order])
-        if relation is None:
-            assert expected is None
-        else:
-            ahead, behind = _witness(relation)
-            assert (tuple(map(order.index, ahead)), tuple(map(order.index, behind))) == expected
-            relations += 1
-    assert relations >= 100 and reinserted >= 50, (relations, reinserted)
+        found = [_witness(r) for r in index.relations()]
+        expected = _all_pairs_level_witnesses([live[j] for j in order])
+        assert [tuple(tuple(map(order.index, side)) for side in w) for w in found] == expected
+        relations += bool(found)
+        several += len(found) > 1
+    assert relations >= 100 and several >= 30 and reinserted >= 50, (relations, several, reinserted)

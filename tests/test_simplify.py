@@ -20,7 +20,7 @@ from dolrep import (
 )
 from dolrep.cli import parse_system
 from dolrep.morphism import CodewordIndex, code_witness
-from dolrep.simplify import _reduce_to_code
+from dolrep.simplify import _reduce_to_code, _step
 from corpus_util import random_system
 from word_util import factor_occurrences
 
@@ -94,6 +94,14 @@ def test_merge_duplicate_images_keeps_singletons():
 def test_merge_duplicate_images_requires_duplicates(system_g):
     with pytest.raises(ValueError):
         merge_duplicate_images(system_g.morphism)
+
+
+def test_step_checks_k_of_h_on_every_image():
+    # a, b -> ab merge onto a; a k whose image is ba breaks k o h = f.
+    f = _endo({"a": "ab", "b": "ab"}, "ab")
+    assert _step("duplicate-merge", f, ["a"], [(0,), (0,)], [(0, 1)]).k.images == ((0, 1),)
+    with pytest.raises(SimplificationError, match="does not reproduce"):
+        _step("duplicate-merge", f, ["a"], [(0,), (0,)], [(1, 0)])
 
 
 def test_code_reduce_example1(example1_f, example1_g):

@@ -70,6 +70,10 @@ def test_lando_checks_precondition(system_g):
     bad = make_system({"a": "ba", "b": "ab"}, "a")
     with pytest.raises(ValueError):
         lando_periodic_check(bad.morphism, 1, 0)  # first letter does not return
+    growing = make_system({"a": "ab", "b": "b"}, "a")
+    for letter in (2, -1):  # ids |A| and -1
+        with pytest.raises(ValueError, match=f"letter id {letter} outside the alphabet"):
+            lando_periodic_check(growing.morphism, 1, letter)
 
 
 def test_lando_accepted_word_prefixes_iterates(doubling, duplicate_pair):
