@@ -58,10 +58,11 @@ def parse_system(text: str) -> D0LSystem:
 
     One leading byte-order mark (U+FEFF) is dropped: ``str.split`` does not
     treat it as whitespace, so it would glue itself to the first token.
+    Lines end at "\n", "\r\n" or "\r" only, not at a form feed or U+0085.
     """
     entries: list[tuple[int, list[str]]] = []
-    text = text.removeprefix("\ufeff")
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    text = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         tokens = raw.partition("#")[0].split()
         if tokens:
             entries.append((lineno, tokens))

@@ -78,17 +78,21 @@ class AnalysisReport:
         return self.repetitive
 
 
+def _chain(system: D0LSystem) -> SimplificationChain:
+    """The reduced system's chain to an injective one; empty for a finite
+    language, which has no unbounded letter, so no side-graph cycle."""
+    reduced = system.reduced()
+    if not reduced.morphism.classification.unbounded:
+        return SimplificationChain(steps=(), systems=(reduced,))
+    return injective_simplification(reduced)
+
+
 def analyze(system: D0LSystem) -> AnalysisReport:
     """Full analysis of a D0L-system; deterministic for equal inputs."""
-    reduced = system.reduced()
-    chain = SimplificationChain(steps=(), systems=(reduced,))
-    bounded_periods = unbounded_periods = ()
-    # A finite language has nothing that repeats unboundedly.
-    if reduced.morphism.classification.unbounded:
-        chain = injective_simplification(reduced)
-        bounded_periods, unbounded_periods = map(tuple, periodic_words(chain.final_system))
+    chain = _chain(system)
+    bounded_periods, unbounded_periods = map(tuple, periodic_words(chain.final_system))
     # Reduction keeps symbols, so a reduced letter's id in the input is its symbol's.
-    letter_ids = [system.alphabet.letter(s) for s in reduced.alphabet.symbols]
+    letter_ids = [system.alphabet.letter(s) for s in chain.systems[0].alphabet.symbols]
     classes: dict[Word, PeriodicFactorClass] = {}
     for source, periods in zip(FactorSource, (bounded_periods, unbounded_periods)):
         for word in periods:
@@ -110,10 +114,7 @@ def is_repetitive(system: D0LSystem) -> bool:
     left cycles, stopping at the first it accepts, since the check can build
     exponentially long words.  The side graphs are walked once.
     """
-    reduced = system.reduced()
-    if not reduced.morphism.classification.unbounded:
-        return False
-    final = injective_simplification(reduced).final_system
+    final = _chain(system).final_system
     found = list(_side_cycles(final))
     return any(any(labels) for _, _, labels in found) or any(
         side is Side.LEFT and lando_periodic_check(final.morphism, len(cycle), cycle[0]) for side, cycle, _ in found

@@ -42,11 +42,11 @@ class Alphabet:
         if len(self.symbols) > 0x10FFFF:
             raise ValueError(f"alphabet has {len(self.symbols)} symbols; at most 1114111 (0x10FFFF) are allowed")
         for s in self.symbols:
-            if not s or any(c.isspace() for c in s):
+            if s.split() != [s]:
                 raise ValueError(f"bad symbol {s!r}: must be non-empty without whitespace")
-        if len(set(self.symbols)) != len(self.symbols):
-            raise ValueError("alphabet symbols must be pairwise distinct")
         object.__setattr__(self, "_index", {s: i for i, s in enumerate(self.symbols)})
+        if len(self._index) != len(self.symbols):
+            raise ValueError("alphabet symbols must be pairwise distinct")
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -324,15 +324,16 @@ def functional_cycles(vertices: Iterable[int], target: Callable[[int], int]) -> 
 class CodewordIndex:
     """A set of codewords as sorted lists of strings, edited in place.
 
-    Words get increasing indices as they are inserted and are held as
-    strings of one character per letter, so they slice, compare and hash
-    in C.  The live words are also kept in a dict to their indices and by
-    first letter: per letter, the sorted list of the live words that start
-    with it and the sorted list of their distinct lengths.  Every proper
-    prefix and extension of a word s starts with s's first letter, so
-    queries look in that letter's lists only.  Deleting a word drops it
-    from these, and drops its length when no word left in the letter's
-    list has it; a later insertion of the same word gets a new index.
+    Words are strings of one character per letter (``_word_str``), so they
+    slice, compare and hash in C; ``texts`` records every word inserted, by
+    the increasing index it got.  The live words are also kept in a dict to
+    their indices and by first letter: per letter, the sorted list of the
+    live words that start with it and the sorted list of their distinct
+    lengths.  Every proper prefix and extension of a word s starts with s's
+    first letter, so queries look in that letter's lists only.  Deleting a
+    word drops it from these, and drops its length when no word left in the
+    letter's list has it; a later insertion of the same word gets a new
+    index.
 
     The codewords that extend s, s included, are the run of its letter's
     list that starts where s would go, so one bisection finds them.  The
@@ -356,9 +357,8 @@ class CodewordIndex:
     test.
     """
 
-    def __init__(self, codewords: Iterable[Word]) -> None:
-        self.words: list[Word] = []  # every word inserted, by index
-        self.texts: list[str] = []  # the same words as strings
+    def __init__(self, codewords: Iterable[str]) -> None:
+        self.texts: list[str] = []  # every word inserted, by index
         self._index: dict[str, int] = {}  # each live text to its index
         self._keys: dict[str, list[str]] = {}  # per first letter, the live texts, sorted
         self._lengths: dict[str, list[int]] = {}  # per first letter, the distinct live lengths, sorted
@@ -366,11 +366,9 @@ class CodewordIndex:
         for y in codewords:
             self.insert(y)
 
-    def insert(self, word: Word) -> int:
+    def insert(self, y: str) -> int:
         """Add a non-empty word that is not in the set; return its index."""
-        j, y = len(self.texts), _word_str(word)
-        c, n = y[0], len(y)
-        self.words.append(word)
+        j, c, n = len(self.texts), y[0], len(y)
         self.texts.append(y)
         for k in self._matches(y):
             self._pairs.add((k, j) if len(self.texts[k]) < n else (j, k))
@@ -416,7 +414,7 @@ class CodewordIndex:
                     out.append(index[p])
         return out
 
-    def factorization(self, word: Word) -> list[int] | None:
+    def factorization(self, y: str) -> list[int] | None:
         """Indices of codewords whose product is word, or None if there are none.
 
         From each position that a product of codewords reaches, one lookup
@@ -425,7 +423,6 @@ class CodewordIndex:
         The product found is the unique one when the set is a code.
         """
         get, lengths = self._index.get, self._lengths
-        y = _word_str(word)
         n = len(y)
         last = [-1] * (n + 1)  # a codeword ending a product at each reached position
         for i in range(n):
@@ -553,7 +550,7 @@ def code_witness(codewords: Sequence[Word]) -> tuple[tuple[int, ...], tuple[int,
         raise ValueError("codewords must be non-empty")
     if len(set(words)) != len(words):
         raise ValueError("codewords must be pairwise distinct")
-    relation = next(CodewordIndex(words).relations(), None)
+    relation = next(CodewordIndex(map(_word_str, words)).relations(), None)
     return None if relation is None else _witness(relation)
 
 

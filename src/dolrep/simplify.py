@@ -18,17 +18,10 @@ it, and its base is a code Y with X in Y*.  When X is not a code, the defect
 theorem gives #Y < #X, so code reduction shrinks the alphabet
 (Berstel, Perrin & Reutenauer, *Codes and Automata*, ch. 1).
 
-Code reduction holds Y in one ``CodewordIndex`` of ``morphism.py``, sorted
-lists of its words by first letter, built once per step from X and edited
-in place.  Each round is one breadth-first Sardinas-Patterson search on
-that index.  The search tests each level for completion before extending
-it, and stops at the first level that completes a relation, extending
-none of its states.  Every relation of that level is applied: its longer
-head codeword v = u t is dropped when the rest of Y generates it, and
-otherwise replaced by t.  When a search finds no relation, Y is the base,
-and each image is spelled once by its unique factorization over Y.
-``_reduce_to_code`` gives the soundness argument, the reason for the level
-cut and the costs.
+Code reduction, ``_reduce_to_code``, holds Y in one ``CodewordIndex`` of
+``morphism.py``, built once per step from X and edited in place by the
+relations of one breadth-first Sardinas-Patterson search per round.  When
+a search finds none, Y is the base, and Y and h are read off the index.
 """
 
 from __future__ import annotations
@@ -43,7 +36,7 @@ from .morphism import (
     compose,
     relation_heads,
 )
-from .words import Word, primitive_root
+from .words import Word, _str_word, _word_str, primitive_root
 
 
 class SimplificationError(RuntimeError):
@@ -124,15 +117,17 @@ def merge_duplicate_images(f: Morphism) -> SimplificationStep:
     return _quotient("duplicate-merge", f, rep)
 
 
-def _reduce_to_code(images: tuple[Word, ...]) -> list[list[Word]] | None:
-    """Factorizations of the images over the base of their free hull, or
-    None when the image set X is already a code.
+def _reduce_to_code(images: tuple[Word, ...]) -> tuple[list[Word], list[Word]] | None:
+    """The step of code reduction as (members, h_images), or None when the
+    image set X is a code: members lists the base Y of X's free hull by
+    length, then letter ids, and h_images[a] spells image a over Y as
+    positions in members.
 
     The free hull is the smallest free submonoid F of A* containing X; its
     base Y is the unique code with Y* = F.  Start from Y = X, held in one
-    ``CodewordIndex`` for the whole step.  Each round runs one search,
-    ``CodewordIndex.relations``, and applies the relations it yields in
-    order.  A relation's head codewords u and v satisfy v = u t with t
+    ``CodewordIndex`` of strings for the whole step.  Each round runs one
+    search, ``CodewordIndex.relations``, and applies the relations it yields
+    in order.  A relation's head codewords u and v satisfy v = u t with t
     non-empty.  If v is no longer in Y, an earlier relation of the round
     removed it and the relation is skipped.  Otherwise v is dropped when it
     factorizes over Y - {v}, and replaced by t when it does not.  The loop
@@ -157,10 +152,11 @@ def _reduce_to_code(images: tuple[Word, ...]) -> list[list[Word]] | None:
     whose images reach 2^15 letters, searching to exhaustion took 1.7 s and
     546 MB on 2 vCPUs, against 0.17 s and 31 MB with the cut.
 
-    Each image is spelled once, at the end, by its factorization over the
-    final Y, which is unique since Y is a code.  Every member of Y occurs
-    in some spelling, since without it the images would lie in a smaller
-    free submonoid.
+    Y is the index's live words, whose strings sort as the words do, since
+    ``chr`` keeps letter ids in order.  Each image is spelled once, at the
+    end, by its factorization over Y, which is unique since Y is a code.
+    Every member of Y occurs in some spelling, since without it the images
+    would lie in a smaller free submonoid.
 
     Cost: the index is built once, with one prefix query and one insertion
     into a sorted list per word.  A round costs one search, plus, for each
@@ -176,37 +172,36 @@ def _reduce_to_code(images: tuple[Word, ...]) -> list[list[Word]] | None:
     distinct images: its first search finds no relation exactly when the
     morphism is injective.
     """
-    index = CodewordIndex(images)
+    index = CodewordIndex(map(_word_str, images))
     relations = list(index.relations())
     if not relations:
         return None
+    texts = index.texts
     while relations:
         for relation in relations:
             u, v = relation_heads(relation)
             if index.is_live(v):
-                word = index.words[v]
                 index.delete(v)
-                if index.factorization(word) is None:
-                    index.insert(word[len(index.words[u]) :])
+                if index.factorization(texts[v]) is None:
+                    index.insert(texts[v][len(texts[u]) :])
         relations = list(index.relations())
-    # The images took indices 0, 1, ... in order, and one still in Y spells itself.
-    words = index.words
-    return [
-        [x] if index.is_live(i) else [words[j] for j in index.factorization(x)]
-        for i, x in enumerate(images)
+    # The images took indices 0, 1, ... in order; one still in Y spells itself.
+    members = sorted((j for j in range(len(texts)) if index.is_live(j)), key=lambda j: (len(texts[j]), texts[j]))
+    rank = {j: i for i, j in enumerate(members)}
+    h_images = [
+        (rank[i],) if i in rank else tuple(rank[j] for j in index.factorization(texts[i])) for i in range(len(images))
     ]
+    return [_str_word(texts[j]) for j in members], h_images
 
 
 def _code_step(f: Morphism) -> SimplificationStep | None:
     """Code reduction of f, or None when f's distinct non-empty images
     form a code, that is, when f is injective."""
-    spelled = _reduce_to_code(f.images)
-    if spelled is None:
+    reduced = _reduce_to_code(f.images)
+    if reduced is None:
         return None
-    ordered = sorted({y for spelling in spelled for y in spelling}, key=lambda w: (len(w), w))
-    index = {y: i for i, y in enumerate(ordered)}
-    h_images = [tuple(index[y] for y in spelling) for spelling in spelled]
-    return _step("code-reduction", f, [f"x{i}" for i in range(len(ordered))], h_images, ordered)
+    members, h_images = reduced
+    return _step("code-reduction", f, [f"x{i}" for i in range(len(members))], h_images, members)
 
 
 def code_reduce(f: Morphism) -> SimplificationStep:

@@ -189,6 +189,22 @@ def test_run_parse_error_exit_code(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_parse_error_line_counts_only_newlines(tmp_path, monkeypatch, capsys):
+    # A form feed and U+0085 are whitespace inside a line, not line breaks,
+    # and a CRLF ending is one break: the bad rule is on line 4.
+    text = "alphabet: a b\r\n\x0caxiom: a\x85\r\na -> a b\r\nb -> x\r\n"
+    path = tmp_path / "ff.dol"
+    path.write_bytes(text.encode())
+    assert run(["analyze", str(path)]) == 1
+    assert capsys.readouterr().err == "error: line 4: rule image uses an undeclared letter\n"
+    monkeypatch.setattr(sys, "stdin", _stdin(text))
+    assert run(["analyze", "-"]) == 1
+    assert capsys.readouterr().err == "error: line 4: rule image uses an undeclared letter\n"
+    # A lone CR ends a line too.
+    with pytest.raises(ParseError, match="^line 4: "):
+        parse_system(text.replace("\r\n", "\r"))
+
+
 def test_alphabet_past_the_code_point_limit_is_a_parse_error(tmp_path):
     # Letters are code points in CodewordIndex and the oracle, so an
     # alphabet of more than 0x10FFFF symbols cannot be analysed.

@@ -41,6 +41,21 @@ def test_alphabet_size_limit():
         Alphabet(symbols)
 
 
+def test_alphabet_symbol_checks():
+    # Python's whitespace, alone or between letters, is refused, as str.split
+    # would break a system file's token there; format characters are not.
+    for c in "\x1c\x85\xa0\u1680\u2028\u3000":
+        for symbol in (c, f"a{c}b"):
+            with pytest.raises(ValueError, match="without whitespace"):
+                Alphabet(("x", symbol))
+    for c in "\u180e\u200b\ufeff":
+        assert Alphabet((c, f"a{c}b")).symbols == (c, f"a{c}b")
+    with pytest.raises(ValueError, match="without whitespace"):
+        Alphabet(("a", ""))
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        Alphabet(("a", "b", "a"))
+
+
 def test_apply_rejects_foreign_letters(system_g):
     with pytest.raises(ValueError):
         system_g.morphism.apply((7,))
@@ -303,8 +318,7 @@ def test_relations_stop_at_first_completing_level(monkeypatch):
     # no query, not even for the state b that comes before f, and the second
     # queries b only, not the completing adc.
     alphabet = Alphabet("abcdef")
-    words = [alphabet.word(w) for w in ("aca", "adc", "acab", "badc", "e", "ef", "f")]
-    index = CodewordIndex(words)
+    index = CodewordIndex(_word_str(alphabet.word(w)) for w in ("aca", "adc", "acab", "badc", "e", "ef", "f"))
     queries = []
     matches = CodewordIndex._matches
     monkeypatch.setattr(CodewordIndex, "_matches", lambda self, s: queries.append(s) or matches(self, s))
@@ -348,17 +362,17 @@ def test_codeword_index_edits_against_rebuilt_sets():
                 longest = rng.choice((5, 5, 12))
                 word = tuple(rng.randrange(letters) for _ in range(rng.randint(1, longest)))
                 if word not in live.values():
-                    reinserted += word in index.words
-                    live[index.insert(word)] = word
+                    reinserted += _word_str(word) in index.texts
+                    live[index.insert(_word_str(word))] = word
             # No stale length: a length stays only while a live word has it.
             for a in range(letters):
                 assert index._lengths.get(chr(a), []) == sorted({len(w) for w in live.values() if w[0] == a})
-        assert [j for j in range(len(index.words)) if index.is_live(j)] == sorted(live)
+        assert [j for j in range(len(index.texts)) if index.is_live(j)] == sorted(live)
         pieces = list(live.values())
         for _ in range(5):
             word = tuple(rng.randrange(letters) for _ in range(rng.randint(1, 8)))
             products = _products(word, pieces)
-            found = index.factorization(word)
+            found = index.factorization(_word_str(word))
             if found is None:
                 assert not products, (word, pieces)
             else:

@@ -377,7 +377,8 @@ def _concat(words):
 def _reference_reduce_to_code(images):
     """The free-hull loop with one relation per round: a ``code_witness`` run
     on Y sorted by length, then letters, each round, with every spelling
-    rewritten."""
+    rewritten.  Returns the words that occur in the spellings, by length,
+    then letters, and each spelling as positions among them."""
 
     def factorization(word, pieces):
         n = len(word)
@@ -405,7 +406,11 @@ def _reference_reduce_to_code(images):
         replacement = factorization(v, Y) or [u, v[len(u) :]]
         Y.update(replacement)
         spelled = [[w for y in s for w in (replacement if y == v else [y])] for s in spelled]
-    return None if Y == set(images) else spelled
+    if Y == set(images):
+        return None
+    members = sorted({y for spelling in spelled for y in spelling}, key=lambda w: (len(w), w))
+    position = {y: i for i, y in enumerate(members)}
+    return members, [tuple(position[y] for y in spelling) for spelling in spelled]
 
 
 def test_reduce_to_code_matches_reference_loop():
@@ -442,11 +447,29 @@ def test_reduce_to_code_matches_reference_loop():
         images = sorted(pool)
         rng.shuffle(images)
         images = tuple(images)
-        spelled = _reduce_to_code(images)
-        assert spelled == _reference_reduce_to_code(images), images
-        non_codes[family] += spelled is not None
+        step = _reduce_to_code(images)
+        assert step == _reference_reduce_to_code(images), images
+        non_codes[family] += step is not None
     assert non_codes["short"] >= 10_000 and non_codes["long"] >= 40 and non_codes["wide"] >= 90, non_codes
     assert non_codes["lengths"] >= 35 and non_codes["prefixes"] >= 50, non_codes
+
+
+def test_reduce_to_code_over_high_letter_ids():
+    # Letters are code points in CodewordIndex: ids around the surrogate
+    # block and the last ones must order, slice and spell as small ids do.
+    rng = random.Random(4242)
+    ids = (0xD7FF, 0xD800, 0xDFFF, 0xE000, 0x10FFFE)
+    non_codes = 0
+    for _ in range(2000):
+        letters = rng.sample(ids, rng.randint(1, 5))
+        pool = {tuple(rng.choice(letters) for _ in range(rng.randint(1, 6))) for _ in range(rng.randint(1, 10))}
+        images = sorted(pool)
+        rng.shuffle(images)
+        images = tuple(images)
+        step = _reduce_to_code(images)
+        assert step == _reference_reduce_to_code(images), images
+        non_codes += step is not None
+    assert non_codes >= 750, non_codes  # 844
 
 
 def test_analyze_never_runs_injectivity_witness(monkeypatch, example1_f):

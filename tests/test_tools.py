@@ -36,10 +36,17 @@ def test_main_prints_before_after_and_delta(tmp_path, capsys):
     before, after = tmp_path / "before", tmp_path / "after"
     before.mkdir()
     after.mkdir()
-    (before / "a.py").write_text("x = 1\ny = 2\n")
-    (before / "b.py").write_text('"""Docstring."""\nz = 3\n')
-    (after / "a.py").write_text("x = 1\ny = 2\nw = 4\n")
-    (after / "c.py").write_text(SOURCE)
+    files = {
+        before / "a.py": "x = 1\ny = 2\n",
+        before / "b.py": '"""Docstring, caf\u00e9."""\nz = 3\n',
+        after / "a.py": "x = 1\ny = 2\nw = 4\n",
+        after / "c.py": SOURCE,
+    }
+    for path, text in files.items():
+        path.write_text(text, encoding="utf-8")
+    # UTF-8 bytes, not characters: the e acute takes two
+    old, new = (sum(len(text.encode()) for path, text in files.items() if path.parent == side) for side in (before, after))
+    assert (old, new) == (42, 18 + len(SOURCE))
     assert TOOL["main"](["code_lines.py", str(after), str(before)]) == 0
     assert capsys.readouterr().out.splitlines() == [
         "before   after   delta",
@@ -47,6 +54,7 @@ def test_main_prints_before_after_and_delta(tmp_path, capsys):
         "     1       0      -1  b.py",
         "     0       5      +5  c.py",
         "     3       8      +5  total",
+        f"{old:6d}  {new:6d}  {new - old:+6d}  bytes",
     ]
     assert TOOL["main"](["code_lines.py", str(after)]) == 0
-    assert capsys.readouterr().out.splitlines() == ["     3  a.py", "     5  c.py", "     8  total"]
+    assert capsys.readouterr().out.splitlines() == ["     3  a.py", "     5  c.py", "     8  total", f"{new:6d}  bytes"]
